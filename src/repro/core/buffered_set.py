@@ -10,7 +10,7 @@ misclassified as sequential).
 Lookup and reclamation are index-accelerated (DESIGN.md "data-plane
 indexes"): per-disk and per-stream start-sorted span indexes make
 :meth:`BufferedSet.find` / :meth:`BufferedSet.find_in_stream`
-O(log buffers) and a lazily-invalidated idle heap makes
+O(log buffers) and a lazily re-armed idle heap makes
 :meth:`BufferedSet.collect` touch only expired buffers. All three are
 pure accelerations — observable behaviour (results, tie-breaks, release
 order, callback order) is bit-identical to the reference linear scans,
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.io import IORequest
@@ -160,11 +160,12 @@ class BufferedSet:
         #: Span indexes behind find / find_in_stream.
         self._disk_index: Dict[int, _SpanIndex] = {}
         self._stream_index: Dict[int, _SpanIndex] = {}
-        #: (last_access, buffer_id) min-heap over *filled* buffers, with
-        #: lazy invalidation: every fill/consume pushes a fresh entry and
-        #: collect() skips entries whose buffer is gone or has a newer
-        #: last_access. Invariant: a filled buffer's current
-        #: (last_access, id) pair is always present.
+        #: (key, buffer_id) min-heap over *filled* buffers, one entry
+        #: per buffer, pushed when it fills. Consumes do not touch it:
+        #: the invariant is only "key <= the buffer's last_access", and
+        #: collect() re-arms an entry it pops stale at the buffer's
+        #: current last_access (entries of released buffers are dropped
+        #: when popped).
         self._idle_heap: List[Tuple[float, int]] = []
         self.peak_in_use = 0
         self.allocated_total = 0
@@ -259,9 +260,32 @@ class BufferedSet:
         if buffer.fully_consumed:
             self._release(buffer)
             return True
-        if buffer.filled:
-            heappush(self._idle_heap, (now, buffer.buffer_id))
         return False
+
+    def consume_through(self, stream_id: int, end: int, now: float) -> None:
+        """Consume the stream's buffers up to byte ``end`` (exclusive).
+
+        Every buffer that starts below ``end`` is consumed from its
+        start up to ``end`` (or its own end), oldest first — the read
+        path's consumption step. Only the buffers the range touches are
+        visited; the fully consumed ones are released in that order.
+        """
+        siblings = self._by_stream.get(stream_id)
+        if not siblings:
+            return
+        touched = []
+        for buffer in siblings.values():
+            if buffer.offset >= end:
+                break
+            touched.append(buffer)
+        for buffer in touched:
+            buffer.last_access = now
+            buffer_end = buffer.offset + buffer.size
+            upto = buffer_end if buffer_end < end else end
+            if upto > buffer.consumed_until:
+                buffer.consumed_until = upto
+            if buffer.filled and buffer.consumed_until >= buffer_end:
+                self._release(buffer)
 
     # -- reclamation -----------------------------------------------------------
     def _release(self, buffer: StreamBuffer) -> None:
@@ -313,25 +337,29 @@ class BufferedSet:
         owns them). Returns bytes reclaimed.
 
         Cost is O(expired + stale heap entries), not O(live buffers):
-        the heap's minimum bounds every buffer's idle time, so one
-        non-expired top entry proves nothing else qualifies. Expired
-        buffers release in ascending buffer-id order — the same order
-        the reference full scan produced (dict insertion order is
-        allocation order).
+        every key is at most its buffer's last_access, so one
+        non-expired top entry proves nothing else qualifies. A popped
+        entry whose buffer was accessed since is re-armed at its
+        current last_access (and pops again in this same call if that
+        is expired too). Expired buffers release in ascending buffer-id
+        order — the same order the reference full scan produced (dict
+        insertion order is allocation order).
         """
         heap = self._idle_heap
         buffers = self._buffers
         expired: Dict[int, StreamBuffer] = {}
         while heap:
-            last_access, buffer_id = heap[0]
-            if now - last_access < timeout:
+            key, buffer_id = heap[0]
+            if now - key < timeout:
                 break
-            heappop(heap)
             buffer = buffers.get(buffer_id)
-            if (buffer is None or buffer.last_access != last_access
-                    or not buffer.filled):
-                continue  # released since, or superseded by a newer entry
-            expired[buffer_id] = buffer
+            if buffer is None or not buffer.filled:
+                heappop(heap)  # released since it filled
+            elif buffer.last_access != key:
+                heapreplace(heap, (buffer.last_access, buffer_id))
+            else:
+                heappop(heap)
+                expired[buffer_id] = buffer
         reclaimed = 0
         for buffer_id in sorted(expired):
             buffer = expired[buffer_id]

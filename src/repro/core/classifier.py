@@ -73,12 +73,19 @@ class SequentialClassifier:
         if not request.is_read:
             self.direct += 1
             return None
-        key = (request.disk_id, request.offset)
-        stream = self._by_next.get(key)
-        if stream is None and self.params.gap_tolerance:
+        by_next = self._by_next
+        stream = by_next.get((request.disk_id, request.offset))
+        gap_tolerance = self.params.gap_tolerance
+        if stream is None and gap_tolerance:
             stream = self._match_with_gap(request)
         if stream is not None:
-            self._advance(stream, request.end)
+            if gap_tolerance:
+                self._advance(stream, request.end)
+            else:
+                # _advance without the gap index (the default).
+                by_next.pop((stream.disk_id, stream.client_next), None)
+                stream.client_next = new_next = request.offset + request.size
+                by_next[(stream.disk_id, new_next)] = stream
             stream.touch(now)
             self._activity.move_to_end(stream.stream_id)
             self.routed += 1

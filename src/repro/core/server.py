@@ -38,7 +38,7 @@ from repro.faults.errors import (
     RequestTimeout,
     is_transient,
 )
-from repro.io import BlockDevice, IOKind, IORequest, stamp_submit
+from repro.io import BlockDevice, IOKind, IORequest
 from repro.sim import Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
@@ -135,6 +135,8 @@ class StreamServer:
         self._c_completed = stats.counter("completed")
         self._l_latency = stats.latency("latency")
         self._c_readahead_issued = stats.counter("readahead_issued")
+        self._c_attached = stats.counter("attached")
+        self._c_reclaimed_misses = stats.counter("reclaimed_misses")
         # Fault/degradation policy state (DESIGN.md §6). All counters
         # stay zero when the policies are off (the default), and the
         # happy path through _await_device is then byte-for-byte the
@@ -228,8 +230,12 @@ class StreamServer:
         overflow waits in a bounded FIFO, and when that is full too the
         oldest waiting request is shed (DESIGN.md §9).
         """
-        stamp_submit(request, self.sim.now)
-        event = self.sim.event(self._srv_name)
+        sim = self.sim
+        # Inlined repro.io.stamp_submit: only the first layer's stamp
+        # sticks, so latency stays end to end.
+        if request.submit_time == 0.0:
+            request.submit_time = sim.now
+        event = sim.event(self._srv_name)
         if not self._admission_on:
             return self._accept(request, event)
         if self._in_service < self._admission_limit:
@@ -342,7 +348,7 @@ class StreamServer:
             if buffer is None:
                 # Data was fetched but reclaimed before this read (GC,
                 # memory pressure): fall back to a direct read.
-                self.stats.counter("reclaimed_misses").add(request.size)
+                self._c_reclaimed_misses.add(request.size)
                 if self._obs_on:
                     self._obs_phase(request, "server.direct")
                 self._issue_direct(request, event)
@@ -355,7 +361,7 @@ class StreamServer:
                 if self._obs_on:
                     self._obs_phase(request, "server.stage")
                 buffer.waiters.append((request, event))
-                self.stats.counter("attached").add(request.size)
+                self._c_attached.add(request.size)
         else:
             # Beyond the fetch frontier: queue on the stream and make
             # sure it is (or becomes) dispatched.
@@ -458,7 +464,8 @@ class StreamServer:
     # -- staged completions --------------------------------------------------------
     def _complete_from_memory(self, stream: StreamQueue, request: IORequest,
                               event: Event) -> None:
-        self._consume(stream, request)
+        self.buffered.consume_through(stream.stream_id, request.end,
+                                      self.sim.now)
         self._c_staged_hits.add(request.size)
         self.sim.process(self._copy_complete(request, event),
                          name=self._copy_name)
@@ -468,23 +475,15 @@ class StreamServer:
         yield self.sim.timeout(self.params.completion_copy_s)
         self._finish(request, event)
 
-    def _consume(self, stream: StreamQueue, request: IORequest) -> None:
-        """Advance consumption over the stream's buffers (in order)."""
-        for buffer in list(self.buffered.stream_buffers(stream.stream_id)):
-            if buffer.offset >= request.end:
-                break
-            upto = min(buffer.end, request.end)
-            self.buffered.consume(buffer, buffer.offset,
-                                  upto - buffer.offset, self.sim.now)
-
     def _finish(self, request: IORequest, event: Event) -> None:
-        request.complete_time = self.sim.now
+        request.complete_time = now = self.sim.now
         self._c_completed.add(request.size)
-        self._l_latency.observe(request.latency)
+        # request.latency, without the property call.
+        self._l_latency.observe(now - request.submit_time)
         if self._obs_on:
             span = request.annotations.pop("obs.phase", None)
             if span is not None:
-                self._obs.spans.end(span, self.sim.now)
+                self._obs.spans.end(span, now)
         event.succeed(request)
 
     # -- dispatching --------------------------------------------------------------
@@ -627,8 +626,10 @@ class StreamServer:
         # completing clients.
         self._admit_streams()
         unblocked = 0
+        consume_through = self.buffered.consume_through
+        stream_id = stream.stream_id
         for request, event in waiters:
-            self._consume(stream, request)
+            consume_through(stream_id, request.end, self.sim.now)
             self._c_staged_hits.add(request.size)
             if fetch_span is not None:
                 unblocked += 1
@@ -639,7 +640,7 @@ class StreamServer:
             if request.end > stream.filled_until:
                 break
             stream.pending.popleft()
-            self._consume(stream, request)
+            consume_through(stream_id, request.end, self.sim.now)
             self._c_staged_hits.add(request.size)
             if fetch_span is not None:
                 unblocked += 1

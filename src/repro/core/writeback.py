@@ -9,7 +9,9 @@ stream goes quiet, or total write-back memory runs short.
 
 Semantics: a client write completes once it is absorbed into a gather
 buffer (write-behind). ``flush_all`` provides the barrier the durability-
-minded caller needs.
+minded caller needs. Dirty bytes count against the memory budget until
+their flush *completes* (or fails), so acknowledged data never runs
+further ahead of the disk than the budget.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ class WriteCoalescerParams:
     coalesce_bytes:
         Target size of one flushed disk write (the write-side ``R``).
     memory_budget:
-        Total bytes of dirty data held across all gather buffers.
+        Total bytes of dirty data held across all gather buffers and
+        in-flight flushes.
     flush_timeout:
         Idle time after which a partial gather buffer flushes anyway.
     ack_cost_s:
@@ -92,7 +95,11 @@ class WriteCoalescer:
         self.params = params or WriteCoalescerParams()
         self.name = name
         self._buffers: Dict[Tuple[int, Optional[int]], _GatherBuffer] = {}
+        #: Bytes absorbed but not yet on disk: gather buffers plus
+        #: flushes in flight.
         self.dirty_bytes = 0
+        #: Writers waiting for an in-flight flush to free budget.
+        self._budget_waiters: List[Event] = []
         self.stats = StatsRegistry()
         self._flusher_running = False
 
@@ -110,13 +117,17 @@ class WriteCoalescer:
     def _absorb(self, request: IORequest, event: Event):
         params = self.params
         key = (request.disk_id, request.stream_id)
-        buffer = self._buffers.get(key)
-        if buffer is not None and request.offset != buffer.end:
-            # Non-contiguous: flush the old run before starting anew.
-            yield from self._flush(key)
-            buffer = None
-        while self.dirty_bytes + request.size > params.memory_budget:
-            yield from self._flush_oldest()
+        while True:
+            # Re-checked after every wait: a budget flush may have
+            # taken this stream's own buffer.
+            buffer = self._buffers.get(key)
+            if buffer is not None and request.offset != buffer.end:
+                # Non-contiguous: flush the old run before starting anew.
+                yield from self._flush(key)
+            elif self.dirty_bytes + request.size > params.memory_budget:
+                yield from self._flush_oldest()
+            else:
+                break
         if buffer is None:
             buffer = _GatherBuffer(request.disk_id, request.offset,
                                    self.sim.now)
@@ -138,16 +149,33 @@ class WriteCoalescer:
         buffer = self._buffers.pop(key, None)
         if buffer is None or buffer.size == 0:
             return
-        self.dirty_bytes -= buffer.size
         flush = IORequest(kind=IOKind.WRITE, disk_id=buffer.disk_id,
                           offset=buffer.offset, size=buffer.size,
                           stream_id=key[1])
         flush.annotations["core.writeback"] = True
         self.stats.counter("flushes").add(buffer.size)
-        yield self.device.submit(flush)
+        # The bytes stay dirty while the flush is in flight.
+        try:
+            yield self.device.submit(flush)
+        except Exception:
+            self._flushed(buffer.size)
+            raise
+        self._flushed(buffer.size)
+
+    def _flushed(self, size: int) -> None:
+        """A flush completed or failed: free its budget, wake writers."""
+        self.dirty_bytes -= size
+        waiters, self._budget_waiters = self._budget_waiters, []
+        for waiter in waiters:
+            waiter.succeed()
 
     def _flush_oldest(self):
         if not self._buffers:
+            # Everything dirty is already being flushed: wait for one
+            # of those flushes to finish.
+            waiter = self.sim.event(name=f"{self.name}.budget")
+            self._budget_waiters.append(waiter)
+            yield waiter
             return
         key = min(self._buffers,
                   key=lambda k: self._buffers[k].last_write)

@@ -26,13 +26,22 @@
  *   pop this code owns the only C reference, so Py_REFCNT(ev) == 1 is
  *   the same sole-custody proof as getrefcount(event) == 2 in Python
  *   (loop local + getrefcount argument).
+ *
+ * - The process lifecycle stays in C end to end: process() allocates
+ *   the Process and pushes its bootstrap wakeup without running
+ *   Process.__init__, and dispatch handles a process's first resume,
+ *   its normal exit (the one push of Process._finish's ok path) and
+ *   the completion event nobody joined (which only needs marking
+ *   processed).  Each is the reference method's effect, step for step;
+ *   interrupts, failures and duck-typed yields still go through the
+ *   Python methods.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
 
-#define EVENTCORE_VERSION "1"
+#define EVENTCORE_VERSION "2"
 
 /* ---------------------------------------------------------------- caches */
 
@@ -43,6 +52,7 @@ static PyObject *TimeoutClass = NULL;   /* repro.sim.events.Timeout */
 static PyObject *ProcessClass = NULL;   /* repro.sim.events.Process */
 
 /* Event slots (shared by every subclass). */
+static Py_ssize_t off_ev_sim = -1;
 static Py_ssize_t off_ev_name = -1;
 static Py_ssize_t off_ev_callbacks = -1;
 static Py_ssize_t off_ev_value = -1;
@@ -52,6 +62,7 @@ static Py_ssize_t off_ev_sole_waiter = -1;
 /* Timeout slot. */
 static Py_ssize_t off_to_delay = -1;
 /* Process slots. */
+static Py_ssize_t off_pr_generator = -1;
 static Py_ssize_t off_pr_send = -1;
 static Py_ssize_t off_pr_waiting_on = -1;
 static Py_ssize_t off_pr_interrupts = -1;
@@ -75,6 +86,10 @@ static PyObject *s_callbacks = NULL;         /* "callbacks" */
 static PyObject *s_waiting_on = NULL;        /* "_waiting_on" */
 static PyObject *s_append = NULL;            /* "append" */
 static PyObject *s_value = NULL;             /* "value" */
+static PyObject *s_send = NULL;              /* "send" */
+static PyObject *s_name = NULL;              /* "__name__" */
+static PyObject *s_init = NULL;              /* "init" */
+static PyObject *s_process = NULL;           /* "process" */
 
 #define SLOT(ob, off) (*(PyObject **)((char *)(ob) + (off)))
 
@@ -132,13 +147,15 @@ ensure_caches(void)
     if (sim_cls == NULL)
         goto error;
 
-    if ((off_ev_name = slot_offset(EventClass, "name")) < 0 ||
+    if ((off_ev_sim = slot_offset(EventClass, "sim")) < 0 ||
+        (off_ev_name = slot_offset(EventClass, "name")) < 0 ||
         (off_ev_callbacks = slot_offset(EventClass, "callbacks")) < 0 ||
         (off_ev_value = slot_offset(EventClass, "_value")) < 0 ||
         (off_ev_ok = slot_offset(EventClass, "_ok")) < 0 ||
         (off_ev_state = slot_offset(EventClass, "_state")) < 0 ||
         (off_ev_sole_waiter = slot_offset(EventClass, "_sole_waiter")) < 0 ||
         (off_to_delay = slot_offset(TimeoutClass, "delay")) < 0 ||
+        (off_pr_generator = slot_offset(ProcessClass, "generator")) < 0 ||
         (off_pr_send = slot_offset(ProcessClass, "_send")) < 0 ||
         (off_pr_waiting_on = slot_offset(ProcessClass, "_waiting_on")) < 0 ||
         (off_pr_interrupts = slot_offset(ProcessClass, "_interrupts")) < 0 ||
@@ -161,7 +178,13 @@ ensure_caches(void)
     s_waiting_on = PyUnicode_InternFromString("_waiting_on");
     s_append = PyUnicode_InternFromString("append");
     s_value = PyUnicode_InternFromString("value");
-    if (int_zero == NULL || int_one == NULL || int_two == NULL ||
+    s_send = PyUnicode_InternFromString("send");
+    s_name = PyUnicode_InternFromString("__name__");
+    s_init = PyUnicode_InternFromString("init");
+    s_process = PyUnicode_InternFromString("process");
+    if (s_send == NULL || s_name == NULL || s_init == NULL ||
+        s_process == NULL ||
+        int_zero == NULL || int_one == NULL || int_two == NULL ||
         empty_string == NULL || s_resume == NULL || s_finish == NULL ||
         s_process_callbacks == NULL || s_raise_orphans == NULL ||
         s_state == NULL || s_sole_waiter == NULL || s_callbacks == NULL ||
@@ -394,16 +417,43 @@ register_generic(PyObject *sim, PyObject *waiter, PyObject *target)
     }
 }
 
+/* Process._finish(True, value): a pending process becomes triggered
+ * and is pushed at the current instant (its only push).  A process
+ * some other path already triggered keeps the reference method, which
+ * returns without touching it. */
+static int
+finish_ok(EventCoreObject *self, PyObject *sim, PyObject *process,
+          PyObject *value)
+{
+    double now;
+
+    if (SLOT(process, off_ev_state) != int_zero) {
+        PyObject *r = PyObject_CallMethodObjArgs(process, s_finish, Py_True,
+                                                 value, NULL);
+        if (r == NULL)
+            return -1;
+        Py_DECREF(r);
+        return 0;
+    }
+    now = PyFloat_AsDouble(SLOT(sim, off_sim_now));
+    if (now == -1.0 && PyErr_Occurred())
+        return -1;
+    slot_store(process, off_ev_ok, Py_True);
+    slot_store(process, off_ev_value, value);
+    slot_store(process, off_ev_state, int_one);      /* Event.TRIGGERED */
+    return heap_push(self, now, process);
+}
+
 /* Dispatch one popped event (borrowed ref; caller owns it).  Mirrors
  * the inlined loop body of the Python backends' drive(). */
 static int
 dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
 {
     PyObject *waiter = SLOT(ev, off_ev_sole_waiter);
-    PyObject *callbacks = SLOT(ev, off_ev_callbacks);
+    PyObject *started;
     PyTypeObject *cls;
 
-    if (waiter == Py_None || !is_falsy(callbacks)) {
+    if (!is_falsy(SLOT(ev, off_ev_callbacks))) {
         /* Reference path: Event._process_callbacks(). */
         PyObject *r = PyObject_CallMethodNoArgs(ev, s_process_callbacks);
         if (r == NULL)
@@ -411,62 +461,94 @@ dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
         Py_DECREF(r);
         return 0;
     }
+    if (waiter == Py_None) {
+        /* Nobody waits (a process completion nobody joined, say):
+         * _process_callbacks would only mark it processed.  Like that
+         * path, it is never recycled. */
+        slot_store(ev, off_ev_state, int_two);      /* Event.PROCESSED */
+        return 0;
+    }
 
     Py_INCREF(waiter);
     slot_store(ev, off_ev_sole_waiter, Py_None);
     slot_store(ev, off_ev_state, int_two);          /* Event.PROCESSED */
 
+    started = SLOT(waiter, off_pr_started);
     if (is_falsy(SLOT(waiter, off_pr_interrupts)) &&
         SLOT(ev, off_ev_ok) == Py_True &&
-        SLOT(waiter, off_pr_started) == Py_True) {
-        /* Inlined Process._resume fast path: an ok trigger into a
-         * started, uninterrupted process. */
-        PyObject *send = SLOT(waiter, off_pr_send);
-        PyObject *val = SLOT(ev, off_ev_value);
-        PyObject *target;
+        (started == Py_True || started == Py_False)) {
+        /* Inlined Process._resume fast path: an ok trigger into an
+         * uninterrupted process -- a started one gets the trigger's
+         * value, a bootstrapping one None (and is marked started once
+         * it yields).  Exact generators are resumed with PyIter_Send,
+         * which reports a return without raising StopIteration. */
+        PyObject *gen = SLOT(waiter, off_pr_generator);
+        PyObject *arg = started == Py_True ? SLOT(ev, off_ev_value) : Py_None;
+        PyObject *target = NULL, *retval = NULL;
 
         slot_store(waiter, off_pr_waiting_on, Py_None);
-        Py_INCREF(send);
-        Py_INCREF(val);
-        target = PyObject_CallOneArg(send, val);
-        Py_DECREF(send);
-        Py_DECREF(val);
+        Py_INCREF(arg);
+        if (PyGen_CheckExact(gen)) {
+            if (PyIter_Send(gen, arg, &target) == PYGEN_RETURN) {
+                retval = target;
+                target = NULL;
+            }
+        }
+        else {
+            PyObject *send = SLOT(waiter, off_pr_send);
+            Py_INCREF(send);
+            target = PyObject_CallOneArg(send, arg);
+            Py_DECREF(send);
+        }
+        Py_DECREF(arg);
 
-        if (target == NULL) {
-            PyObject *etype, *evalue, *etb, *ok, *finish_val, *r;
+        if (retval != NULL) {
+            /* Normal exit: Process._finish(True, value). */
+            int st = finish_ok(self, sim, waiter, retval);
+            Py_DECREF(retval);
+            if (st < 0)
+                goto error;
+        }
+        else if (target == NULL) {
+            PyObject *etype, *evalue, *etb, *finish_val;
             int stopped = PyErr_ExceptionMatches(PyExc_StopIteration);
             PyErr_Fetch(&etype, &evalue, &etb);
             PyErr_NormalizeException(&etype, &evalue, &etb);
             if (etb != NULL && evalue != NULL)
                 PyException_SetTraceback(evalue, etb);
             if (stopped) {
-                ok = Py_True;
+                int st;
                 finish_val = PyObject_GetAttr(evalue, s_value);
-                if (finish_val == NULL) {
-                    Py_XDECREF(etype);
-                    Py_XDECREF(evalue);
-                    Py_XDECREF(etb);
+                Py_XDECREF(etype);
+                Py_XDECREF(evalue);
+                Py_XDECREF(etb);
+                if (finish_val == NULL)
                     goto error;
-                }
+                st = finish_ok(self, sim, waiter, finish_val);
+                Py_DECREF(finish_val);
+                if (st < 0)
+                    goto error;
             }
             else {
                 /* `except BaseException as exc` in the reference. */
-                ok = Py_False;
+                PyObject *r;
                 finish_val = evalue;
                 Py_XINCREF(finish_val);
+                Py_XDECREF(etype);
+                Py_XDECREF(evalue);
+                Py_XDECREF(etb);
+                r = PyObject_CallMethodObjArgs(waiter, s_finish, Py_False,
+                                               finish_val, NULL);
+                Py_XDECREF(finish_val);
+                if (r == NULL)
+                    goto error;
+                Py_DECREF(r);
             }
-            Py_XDECREF(etype);
-            Py_XDECREF(evalue);
-            Py_XDECREF(etb);
-            r = PyObject_CallMethodObjArgs(waiter, s_finish, ok,
-                                           finish_val, NULL);
-            Py_XDECREF(finish_val);
-            if (r == NULL)
-                goto error;
-            Py_DECREF(r);
         }
         else if (PyObject_TypeCheck(target, (PyTypeObject *)EventClass)) {
             PyObject *tstate = SLOT(target, off_ev_state);
+            if (started == Py_False)
+                slot_store(waiter, off_pr_started, Py_True);
             if (tstate == int_two) {
                 /* Already processed: delivering it through _resume is
                  * exactly the reference loop's `trigger = target`. */
@@ -515,7 +597,10 @@ dispatch_event(EventCoreObject *self, PyObject *sim, PyObject *ev)
             Py_DECREF(target);
         }
         else {
-            int st = register_generic(sim, waiter, target);
+            int st;
+            if (started == Py_False)
+                slot_store(waiter, off_pr_started, Py_True);
+            st = register_generic(sim, waiter, target);
             Py_DECREF(target);
             if (st < 0)
                 goto error;
@@ -814,19 +899,13 @@ core_event(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs,
     return PyObject_CallFunctionObjArgs(EventClass, self->sim, name, NULL);
 }
 
+/* Push an already-triggered event at now that direct-resumes
+ * `process` (pooled when possible); returns a new reference. */
 static PyObject *
-core_wakeup(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
+push_wakeup(EventCoreObject *self, PyObject *process, PyObject *name)
 {
-    PyObject *process, *name, *ev;
+    PyObject *ev;
     double now;
-
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "wakeup() takes exactly 2 arguments (process, name)");
-        return NULL;
-    }
-    process = args[0];
-    name = args[1];
 
     if (PyList_GET_SIZE(self->event_pool) > 0) {
         ev = pool_pop(self->event_pool);
@@ -851,6 +930,137 @@ core_wakeup(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     }
     return ev;
+}
+
+static PyObject *
+core_wakeup(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "wakeup() takes exactly 2 arguments (process, name)");
+        return NULL;
+    }
+    return push_wakeup(self, args[0], args[1]);
+}
+
+/* The default process name: getattr(generator, "__name__", "process"). */
+static PyObject *
+default_process_name(PyObject *generator)
+{
+    PyObject *name = PyObject_GetAttr(generator, s_name);
+
+    if (name == NULL && PyErr_ExceptionMatches(PyExc_AttributeError)) {
+        PyErr_Clear();
+        Py_INCREF(s_process);
+        name = s_process;
+    }
+    return name;
+}
+
+static PyObject *
+core_process(EventCoreObject *self, PyObject *const *args, Py_ssize_t nargs,
+             PyObject *kwnames)
+{
+    PyObject *generator = NULL, *name = NULL, *send, *proc, *boot;
+    Py_ssize_t nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
+    Py_ssize_t i;
+    int named;
+
+    if (nargs > 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "process() takes at most 2 arguments");
+        return NULL;
+    }
+    if (nargs >= 1)
+        generator = args[0];
+    if (nargs >= 2)
+        name = args[1];
+    for (i = 0; i < nkw; i++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
+        PyObject *kv = args[nargs + i];
+        if (PyUnicode_CompareWithASCIIString(key, "name") == 0 && nargs < 2)
+            name = kv;
+        else if (PyUnicode_CompareWithASCIIString(key, "generator") == 0 &&
+                 nargs < 1)
+            generator = kv;
+        else {
+            PyErr_Format(PyExc_TypeError,
+                         "process() got an unexpected keyword argument %R",
+                         key);
+            return NULL;
+        }
+    }
+    if (generator == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "process() missing required argument: 'generator'");
+        return NULL;
+    }
+
+    /* Process.__init__'s guard: hasattr(generator, "send"). */
+    send = PyObject_GetAttr(generator, s_send);
+    if (send == NULL) {
+        PyObject *tname;
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return NULL;
+        PyErr_Clear();
+        tname = PyObject_GetAttr((PyObject *)Py_TYPE(generator), s_name);
+        if (tname == NULL)
+            return NULL;
+        PyErr_Format(PyExc_TypeError, "process() needs a generator, got %U",
+                     tname);
+        Py_DECREF(tname);
+        return NULL;
+    }
+    /* `name or getattr(generator, "__name__", "process")` */
+    named = name == NULL ? 0 : PyObject_IsTrue(name);
+    if (named < 0) {
+        Py_DECREF(send);
+        return NULL;
+    }
+    if (named)
+        Py_INCREF(name);
+    else {
+        name = default_process_name(generator);
+        if (name == NULL) {
+            Py_DECREF(send);
+            return NULL;
+        }
+    }
+
+    /* Process.__init__ without its frame: every slot set directly. */
+    proc = ((PyTypeObject *)ProcessClass)->tp_alloc(
+        (PyTypeObject *)ProcessClass, 0);
+    if (proc == NULL) {
+        Py_DECREF(send);
+        Py_DECREF(name);
+        return NULL;
+    }
+    SLOT(proc, off_ev_sim) = Py_NewRef(self->sim);
+    SLOT(proc, off_ev_name) = name;                  /* steals */
+    SLOT(proc, off_ev_callbacks) = PyList_New(0);
+    if (SLOT(proc, off_ev_callbacks) == NULL) {
+        Py_DECREF(send);
+        Py_DECREF(proc);
+        return NULL;
+    }
+    SLOT(proc, off_ev_value) = Py_NewRef(Py_None);
+    SLOT(proc, off_ev_ok) = Py_NewRef(Py_True);
+    SLOT(proc, off_ev_state) = Py_NewRef(int_zero);  /* Event.PENDING */
+    SLOT(proc, off_ev_sole_waiter) = Py_NewRef(Py_None);
+    SLOT(proc, off_pr_generator) = Py_NewRef(generator);
+    SLOT(proc, off_pr_send) = send;                  /* steals */
+    SLOT(proc, off_pr_waiting_on) = Py_NewRef(Py_None);
+    SLOT(proc, off_pr_interrupts) = Py_NewRef(Py_None);
+    SLOT(proc, off_pr_started) = Py_NewRef(Py_False);
+
+    /* Bootstrap: the same pooled "init" wakeup Process.__init__ pushes. */
+    boot = push_wakeup(self, proc, s_init);
+    if (boot == NULL) {
+        Py_DECREF(proc);
+        return NULL;
+    }
+    Py_DECREF(boot);
+    return proc;
 }
 
 static PyObject *
@@ -937,6 +1147,10 @@ static PyMethodDef core_methods[] = {
     {"event", (PyCFunction)(void (*)(void))core_event,
      METH_FASTCALL | METH_KEYWORDS,
      "event(name='') -> Event\n\nPooled pending-event factory."},
+    {"process", (PyCFunction)(void (*)(void))core_process,
+     METH_FASTCALL | METH_KEYWORDS,
+     "process(generator, name='') -> Process\n\n"
+     "Start `generator` as a process (see HeapqCore.process)."},
     {"wakeup", (PyCFunction)(void (*)(void))core_wakeup, METH_FASTCALL,
      "wakeup(process, name) -> Event\n\n"
      "Pooled, already-triggered direct-resume event at now."},

@@ -9,11 +9,11 @@ the original ``heapq`` implementation kept verbatim as the reference.
 tracing, and the ``until`` semantics of :meth:`Simulator.run`.
 
 The factory entry points the hot paths call millions of times per
-experiment — ``sim.timeout``, ``sim.event``, ``sim._push``,
-``sim._wakeup`` — are the core's bound methods installed directly into
-instance slots at construction, so a pooled timeout is one call with no
-extra indirection regardless of backend (and one C call on the compiled
-core).
+experiment — ``sim.timeout``, ``sim.event``, ``sim.process``,
+``sim._push``, ``sim._wakeup`` — are the core's bound methods installed
+directly into instance slots at construction, so a pooled timeout or a
+new process is one call with no extra indirection regardless of
+backend (and one C call on the compiled core).
 
 Traced runs always take the readable per-event reference path through
 ``core.pop()`` + :meth:`Simulator.step`-equivalent dispatch: tracing is
@@ -33,7 +33,6 @@ from repro.sim.events import (
     AnyOf,
     Event,
     Process,
-    ProcessGenerator,
     Timeout,
 )
 
@@ -67,14 +66,17 @@ class Simulator:
 
     Attributes
     ----------
-    timeout, event:
-        Event factories — the active core's bound methods, installed
-        into slots at construction (see the module docstring). Their
-        semantics are documented on :class:`repro.sim.eventcore.HeapqCore`.
+    timeout, event, process:
+        Event and process factories — the active core's bound methods,
+        installed into slots at construction (see the module
+        docstring). Their semantics are documented on
+        :class:`repro.sim.eventcore.HeapqCore`; ``process(generator,
+        name="")`` starts ``generator`` as a joinable
+        :class:`~repro.sim.events.Process`.
     """
 
     __slots__ = ("now", "trace", "_failures", "_active", "_core",
-                 "timeout", "event", "_push", "_wakeup")
+                 "timeout", "event", "process", "_push", "_wakeup")
 
     def __init__(self, start_time: float = 0.0, trace: Any = None,
                  backend: Optional[str] = None):
@@ -89,14 +91,11 @@ class Simulator:
         # delegating Python frame in between.
         self.timeout = core.timeout
         self.event = core.event
+        self.process = core.process
         self._push = core.push
         self._wakeup = core.wakeup
 
     # -- factory helpers -----------------------------------------------------
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
-        """Start ``generator`` as a process; returns the joinable Process."""
-        return Process(self, generator, name=name)
-
     def all_of(self, events: Iterable[Event], name: str = "") -> AllOf:
         """Event that fires when every event in ``events`` has fired."""
         return AllOf(self, events, name=name)

@@ -12,8 +12,9 @@ semantics:
     (``setup.py`` marks it *optional*: a build without a C compiler
     still installs, minus this backend). The heap is an array of C
     structs — no per-event tuple, no rich comparisons — and the drive
-    loop, free-list recycling and the pooled ``timeout()`` factory run
-    in C, calling back into Python only for generator resumes and the
+    loop, free-list recycling, the pooled ``timeout()`` factory and the
+    process lifecycle (``process()``, first resume, normal exit) run
+    in C, calling back into Python only for generator bodies and the
     cold paths.
 
 ``calendar``
@@ -88,10 +89,18 @@ except ImportError:  # pragma: no cover - PyPy etc: never recycle
     def _getrefcount(_obj: Any) -> int:
         return -1
 
+#: The C extension API version this module drives (``__version__`` of
+#: :mod:`repro.sim._eventcore`).
+COMPILED_VERSION = "2"
+
 try:  # The optional C extension (setup.py ext_modules, optional=True).
     from repro.sim import _eventcore as _compiled
 except ImportError:  # pragma: no cover - exercised by the no-compiler CI leg
     _compiled = None
+if getattr(_compiled, "__version__", COMPILED_VERSION) != COMPILED_VERSION:
+    # A stale in-place build from an older checkout lacks this version's
+    # entry points: treat it like a missing extension until rebuilt.
+    _compiled = None  # pragma: no cover
 
 #: Upper bound on each free-list; reuse is immediate, so a small cap
 #: suffices and bounds worst-case retained memory.
@@ -347,6 +356,11 @@ class HeapqCore:
             event._state = 0  # Event.PENDING
             return event
         return Event(self.sim, name=name)
+
+    def process(self, generator: Any, name: str = "") -> Process:
+        """Start ``generator`` as a process; returns the joinable
+        :class:`Process` (bootstrapped by a :meth:`wakeup` at now)."""
+        return Process(self.sim, generator, name)
 
     def wakeup(self, process: Process, name: str) -> Event:
         """Schedule an already-triggered event that direct-resumes
@@ -843,6 +857,10 @@ class CalendarCore:
             event._state = 0  # Event.PENDING
             return event
         return Event(self.sim, name=name)
+
+    def process(self, generator: Any, name: str = "") -> Process:
+        """Start ``generator`` as a process (see :meth:`HeapqCore.process`)."""
+        return Process(self.sim, generator, name)
 
     def wakeup(self, process: Process, name: str) -> Event:
         """Pooled, already-triggered direct-resume event at ``now``."""

@@ -74,57 +74,61 @@ class StreamClient:
     def _record_finish(self, _event) -> None:
         self.finished_at = self.sim.now
 
-    def _next_request(self) -> Optional[IORequest]:
-        spec = self.spec
-        if spec.total_bytes is not None \
-                and self._issued_bytes >= spec.total_bytes:
-            return None
-        if self._position + spec.request_size > self.device.capacity_bytes:
-            return None  # ran off the end of the disk
-        request = IORequest(kind=spec.kind, disk_id=spec.disk_id,
-                            offset=self._position, size=spec.request_size,
-                            stream_id=spec.stream_id)
-        self._position += spec.request_size
-        self._issued_bytes += spec.request_size
-        return request
-
     def _run(self):
+        # Loop invariants hoisted: the spec is frozen and the device's
+        # capacity fixed. The position and byte count are re-read every
+        # request — the client's slots share them.
+        sim = self.sim
+        device = self.device
+        spec = self.spec
+        kind = spec.kind
+        disk_id = spec.disk_id
+        stream_id = spec.stream_id
+        size = spec.request_size
+        total_bytes = spec.total_bytes
+        think_time = spec.think_time
+        capacity = device.capacity_bytes
+        obs_on = self._obs_on
         while True:
-            request = self._next_request()
-            if request is None:
+            if total_bytes is not None and self._issued_bytes >= total_bytes:
                 return
-            issued_at = self.sim.now
+            position = self._position
+            if position + size > capacity:
+                return  # ran off the end of the disk
+            request = IORequest(kind, disk_id, position, size, stream_id)
+            self._position = position + size
+            self._issued_bytes += size
+            issued_at = sim.now
             span = None
-            if self._obs_on:
+            if obs_on:
                 # Root a fresh trace per request; every instrumented
                 # layer below hangs its phase spans off this one.
                 span = self._obs.spans.begin(
                     "request", "client", issued_at,
-                    args={"stream": self.spec.stream_id,
-                          "offset": request.offset,
-                          "size": request.size})
+                    args={"stream": stream_id, "offset": position,
+                          "size": size})
                 self._obs.link(request, span)
             try:
-                yield self.device.submit(request)
+                yield device.submit(request)
             except Exception as exc:
                 if span is not None:
                     span.set_arg("error", type(exc).__name__)
-                    self._obs.spans.end(span, self.sim.now)
+                    self._obs.spans.end(span, sim.now)
                 if not self.tolerate_errors:
                     raise
-                # Skip the bad block: _next_request already advanced
-                # the position, so the stream stays sequential.
+                # Skip the bad block: the position already advanced, so
+                # the stream stays sequential.
                 self.errors += 1
                 continue
             if span is not None:
-                self._obs.spans.end(span, self.sim.now)
-            self.completed_bytes += request.size
+                self._obs.spans.end(span, sim.now)
+            self.completed_bytes += size
             self.completed_requests += 1
             # Client-side response time (what the paper measures):
             # independent of any layer's stamping.
-            self.latency.observe(self.sim.now - issued_at)
-            if self.spec.think_time > 0:
-                yield self.sim.timeout(self.spec.think_time)
+            self.latency.observe(sim.now - issued_at)
+            if think_time > 0:
+                yield sim.timeout(think_time)
 
 
 @dataclass

@@ -450,6 +450,114 @@ def test_buffered_set_find_tie_breaks_to_oldest_overlap():
 
 
 # ---------------------------------------------------------------------------
+# Idle heap: re-armed entries vs. the reference full scan
+# ---------------------------------------------------------------------------
+
+
+def _reference_consume_through(reference, stream_id, end, now):
+    """The server's consumption step before ``consume_through`` fused it:
+    a snapshot of the stream's buffers, each consumed from its start up
+    to ``end``, oldest first."""
+    for buffer in list(reference.stream_buffers(stream_id)):
+        if buffer.offset >= end:
+            break
+        upto = min(buffer.end, end)
+        reference.consume(buffer, buffer.offset, upto - buffer.offset, now)
+
+
+class _IdleHeapHarness(_BufferedHarness):
+    """Stresses the idle heap: short ticks (many re-armed entries per
+    collect), streamed consumption through ``consume_through``, and a
+    heap-invariant check after every step."""
+
+    def tick(self):
+        self.now += self.rng.choice([0.0, 0.05, 0.1, 0.1, 0.4])
+
+    def op_consume_through(self):
+        stream_id = self.rng.choice(self.STREAMS)
+        end = self.rng.randrange(1, 28) * (4 * KiB)
+        _reference_consume_through(self.ref, stream_id, end, self.now)
+        self.new.consume_through(stream_id, end, self.now)
+
+    def check(self):
+        super().check()
+        keys: Dict[int, List[float]] = {}
+        for key, buffer_id in self.new._idle_heap:
+            keys.setdefault(buffer_id, []).append(key)
+        for buffer in self.new._buffers.values():
+            if buffer.filled:
+                # "entry key <= last_access", and at least one entry.
+                assert keys.get(buffer.buffer_id), buffer
+                assert max(keys[buffer.buffer_id]) <= buffer.last_access
+
+    OPS = (
+        (_BufferedHarness.op_allocate, 24),
+        (_BufferedHarness.op_fill, 16),
+        (_BufferedHarness.op_consume, 10),
+        (op_consume_through, 18),
+        (_BufferedHarness.op_collect, 16),
+        (_BufferedHarness.op_release_stream, 4),
+        (_BufferedHarness.op_discard, 4),
+    )
+
+
+@pytest.mark.parametrize("seed", [2, 11, 2024, 90210])
+def test_idle_heap_collect_matches_reference_scan(seed):
+    """Same collect results and release order as the full scan, with
+    consumes re-arming entries instead of pushing new ones."""
+    harness = _IdleHeapHarness(seed)
+    harness.run(600)
+    assert harness.ref_releases
+    assert harness.ref.allocated_total > 50
+
+
+def test_consume_through_matches_per_buffer_consume():
+    """consume_through walks the stream's touched buffers in order, like
+    the per-buffer loop it replaces, releasing the fully read ones."""
+    ref = _ReferenceBufferedSet(1024 * KiB)
+    new = BufferedSet(1024 * KiB)
+    ref_log, new_log = [], []
+    _install_release_log(ref, ref_log)
+    _install_release_log(new, new_log)
+    for target in (ref, new):
+        for index in range(4):
+            buffer = target.allocate(7, 0, index * 32 * KiB, 32 * KiB, 0.0)
+            if index < 3:
+                target.mark_filled(buffer, 0.0)
+    for step, end in enumerate((8, 40, 72, 100, 128)):
+        _reference_consume_through(ref, 7, end * KiB, float(step))
+        new.consume_through(7, end * KiB, float(step))
+        assert [b.consumed_until for b in ref.stream_buffers(7)] \
+            == [b.consumed_until for b in new.stream_buffers(7)]
+        assert [b.last_access for b in ref.stream_buffers(7)] \
+            == [b.last_access for b in new.stream_buffers(7)]
+    assert [b.offset for b in ref_log] == [b.offset for b in new_log]
+    assert len(new_log) == 3  # the in-flight fourth buffer stays
+    new.consume_through(99, 64 * KiB, 9.0)  # unknown stream: no-op
+
+
+def test_repeated_consumes_leave_idle_heap_size_unchanged():
+    """Consuming one filled buffer N times pushes nothing: its single
+    entry is re-armed by collect instead."""
+    buffered = BufferedSet(1024 * KiB)
+    buffer = buffered.allocate(1, 0, 0, 64 * KiB, 0.0)
+    buffered.mark_filled(buffer, 0.0)
+    entries = len(buffered._idle_heap)
+    assert entries == 1
+    for step in range(1, 15):
+        buffered.consume_through(1, step * 4 * KiB, step * 0.1)
+        buffered.consume(buffer, 0, step * 4 * KiB, step * 0.1)
+    assert len(buffered._idle_heap) == entries
+    last = buffer.last_access
+    # Idle for less than the timeout since the last access: kept, and
+    # its entry re-armed at that access rather than duplicated.
+    assert buffered.collect(last + 0.4, 0.5) == 0
+    assert buffered._idle_heap == [(last, buffer.buffer_id)]
+    assert buffered.collect(last + 0.5, 0.5) == 64 * KiB
+    assert len(buffered) == 0
+
+
+# ---------------------------------------------------------------------------
 # DispatchSet differential
 # ---------------------------------------------------------------------------
 

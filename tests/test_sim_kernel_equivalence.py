@@ -346,3 +346,179 @@ def test_condition_events_never_enter_pools(backend):
     sim.run()
     assert all(type(event) is Timeout for event in sim._timeout_pool)
     assert all(type(event) is Event for event in sim._event_pool)
+
+
+# -- process lifecycle --------------------------------------------------------
+#
+# The compiled core creates processes and runs their first resume, their
+# normal exit and their unjoined completion event without calling back
+# into Process; each scenario below pins one of those lifecycle shapes
+# (and its cold neighbours) to the heapq reference. A scenario logs
+# (now, _sequence, label) at every step a process observes, so the log
+# fingerprints both the time order and the push order of the untraced
+# run.
+
+def _mark(sim, log, *label):
+    log.append((sim.now, sim._sequence) + label)
+
+
+def _returns_before_first_yield(sim, log):
+    def instant(sim):
+        _mark(sim, log, "instant-ran")
+        return "early"
+        yield  # pragma: no cover - makes this a generator
+
+    def joiner(sim, target):
+        value = yield target
+        _mark(sim, log, "joined", value)
+
+    sim.process(instant(sim))                       # nobody joined
+    sim.process(joiner(sim, sim.process(instant(sim))))
+    return []
+
+
+def _raises_on_bootstrap(sim, log):
+    def boom(sim):
+        _mark(sim, log, "boom")
+        raise ValueError("bootstrap failure")
+        yield  # pragma: no cover - makes this a generator
+
+    def parent(sim, children):
+        # Joins the child before the child's bootstrap runs, so the
+        # failure has a waiter to absorb it.
+        child = sim.process(boom(sim))
+        children.append(child)
+        try:
+            yield child
+        except ValueError as error:
+            _mark(sim, log, "caught", str(error))
+
+    children = []
+    sim.process(parent(sim, children))
+    return children
+
+
+def _interrupted_before_start(sim, log):
+    def sleeper(sim):
+        _mark(sim, log, "started")
+        try:
+            yield sim.timeout(5.0)
+            _mark(sim, log, "overslept")
+        except Interrupt as interrupt:
+            _mark(sim, log, "interrupted", interrupt.cause)
+        yield sim.timeout(1.0)
+        _mark(sim, log, "done")
+        return "slept"
+
+    early = sim.process(sleeper(sim), name="early")
+    early.interrupt("before-start")
+    return [early]
+
+
+def _exits_unjoined(sim, log):
+    def worker(sim, ident, delay):
+        yield sim.timeout(delay)
+        _mark(sim, log, "worker", ident)
+        return ident
+
+    workers = [sim.process(worker(sim, ident, delay))
+               for ident, delay in enumerate((0.0, 0.5, 0.5, 1.0))]
+    return workers
+
+
+def _joined_by_two(sim, log):
+    def target(sim):
+        yield sim.timeout(1.0)
+        _mark(sim, log, "target-done")
+        return "shared"
+
+    def joiner(sim, ident, process):
+        value = yield process
+        _mark(sim, log, "joined", ident, value)
+
+    shared = sim.process(target(sim))
+    sim.process(joiner(sim, "first", shared))
+    sim.process(joiner(sim, "second", shared))
+    return [shared]
+
+
+LIFECYCLE_SCENARIOS = {
+    "returns-before-first-yield": _returns_before_first_yield,
+    "raises-on-bootstrap": _raises_on_bootstrap,
+    "interrupted-before-start": _interrupted_before_start,
+    "exits-unjoined": _exits_unjoined,
+    "joined-by-two": _joined_by_two,
+}
+
+
+def _lifecycle_outcome(scenario, backend, mode):
+    """(log, final clock, _sequence, process states, kernel records)."""
+    tracer = _StubTracer() if mode == "traced" else None
+    sim = Simulator(trace=tracer, backend=backend)
+    log = []
+    processes = LIFECYCLE_SCENARIOS[scenario](sim, log)
+    if mode == "step":
+        end = _run_with_step(sim)
+    else:
+        end = sim.run()
+    states = [(p.name, p._state, p._ok, p._started, repr(p.value))
+              for p in processes]
+    records = tracer.records if tracer is not None else None
+    return log, end, sim._sequence, states, records
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("scenario", sorted(LIFECYCLE_SCENARIOS))
+def test_process_lifecycle_matches_heapq_reference(scenario, backend):
+    """run(), step() and traced runs agree with heapq's run() exactly."""
+    reference = _lifecycle_outcome(scenario, "heapq", "run")[:4]
+    assert reference[0], "scenario logged nothing"
+    for mode in ("run", "step"):
+        got = _lifecycle_outcome(scenario, backend, mode)[:4]
+        assert got == reference, f"{backend} {mode} diverged"
+    traced = _lifecycle_outcome(scenario, backend, "traced")
+    assert traced[:4] == reference
+    heapq_traced = _lifecycle_outcome(scenario, "heapq", "traced")
+    assert traced[4] == heapq_traced[4], f"{backend} kernel records"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_unhandled_bootstrap_failure_surfaces_identically(backend):
+    """A process failing on its first resume with no waiter raises
+    SimulationError on every backend, after the same pushes."""
+    from repro.sim.engine import SimulationError
+
+    def boom(sim):
+        raise KeyError("nobody listens")
+        yield  # pragma: no cover - makes this a generator
+
+    sequences = []
+    for name in ("heapq", backend):
+        sim = Simulator(backend=name)
+        sim.process(boom(sim), name="orphan")
+        with pytest.raises(SimulationError, match="orphan"):
+            sim.run()
+        sequences.append((sim.now, sim._sequence))
+    assert sequences[0] == sequences[1]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_process_factory_naming_and_type_check(backend):
+    """sim.process keeps Process's naming default and TypeError."""
+    sim = Simulator(backend=backend)
+
+    def pinger(sim):
+        yield sim.timeout(1.0)
+
+    assert sim.process(pinger(sim)).name == "pinger"
+    assert sim.process(pinger(sim), name="").name == "pinger"
+    assert sim.process(pinger(sim), name="custom").name == "custom"
+    assert sim.process(pinger(sim), "positional").name == "positional"
+    assert sim.process(generator=pinger(sim)).name == "pinger"
+    with pytest.raises(TypeError, match="process\\(\\) needs a generator, "
+                                        "got int"):
+        sim.process(42)
+    with pytest.raises(TypeError, match="got function"):
+        sim.process(pinger)
+    sim.run()
+    assert sim.now == 1.0
