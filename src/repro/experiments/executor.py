@@ -311,8 +311,8 @@ def code_fingerprint_for(point_fn: Callable) -> str:
     when the function's module has no reachable source (interactive
     definitions) — coarse, never stale.
 
-    The active event-core backend token (``compiled/<version>``,
-    ``calendar`` or ``heapq``; see :mod:`repro.sim.eventcore`) is mixed
+    The active event-core backend token (``compiled/<version>`` or
+    ``heapq``; see :mod:`repro.sim.eventcore`) is mixed
     into the returned digest: the compiled core's sources are not part
     of any Python import closure, and although the backends are pinned
     bit-identical by the equivalence suite, a cache entry must never

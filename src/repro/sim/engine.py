@@ -3,8 +3,8 @@
 The kernel's hot state — the timestamped pending-event queue, the
 Timeout/Event free-lists, and the untraced dispatch loop — lives in a
 pluggable *event core* (:mod:`repro.sim.eventcore`): a compiled C
-extension when available, a pure-Python calendar queue otherwise, and
-the original ``heapq`` implementation kept verbatim as the reference.
+extension when available, and the pure-Python ``heapq`` reference
+implementation otherwise.
 :class:`Simulator` owns everything else: the clock, failure propagation,
 tracing, and the ``until`` semantics of :meth:`Simulator.run`.
 
@@ -59,9 +59,9 @@ class Simulator:
     trace:
         Optional :class:`repro.sim.trace.Tracer` receiving kernel records.
     backend:
-        Event-core backend name (``"compiled"``/``"calendar"``/
-        ``"heapq"``); default is automatic selection, overridable with
-        the ``REPRO_EVENTCORE`` environment variable. See
+        Event-core backend name (``"compiled"``/``"heapq"``); default
+        is automatic selection, overridable with the
+        ``REPRO_EVENTCORE`` environment variable. See
         :mod:`repro.sim.eventcore`.
 
     Attributes
@@ -213,22 +213,14 @@ class Simulator:
             self._core.drive(until)
         else:
             core = self._core
-            if until is None:
-                while len(core):
-                    when, event = core.pop()
-                    self.now = when
-                    trace.kernel(when, event)
-                    event._process_callbacks()
-                    if self._failures:
-                        self._raise_orphans()
-            else:
-                while len(core) and core.peek() <= until:
-                    when, event = core.pop()
-                    self.now = when
-                    trace.kernel(when, event)
-                    event._process_callbacks()
-                    if self._failures:
-                        self._raise_orphans()
+            horizon = float("inf") if until is None else until
+            while len(core) and core.peek() <= horizon:
+                when, event = core.pop()
+                self.now = when
+                trace.kernel(when, event)
+                event._process_callbacks()
+                if self._failures:
+                    self._raise_orphans()
         if until is not None and until > self.now:
             self.now = until
         return self.now

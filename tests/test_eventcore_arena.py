@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim import Simulator
 from repro.sim import events as events_module
-from repro.sim.eventcore import ARENA_ENV_VAR, sweep_arena
+from repro.sim.eventcore import sweep_arena
 
 
 @pytest.fixture
@@ -50,8 +50,7 @@ def _fanout_workload(sim, width=100, rounds=5):
     sim.run()
 
 
-def test_arena_disabled_by_default(heapq_core, monkeypatch):
-    monkeypatch.delenv(ARENA_ENV_VAR, raising=False)
+def test_arena_disabled_by_default(heapq_core):
     sweep_arena().disable()  # order-robust: some tests enable it
     first = Simulator()
     _fanout_workload(first)
@@ -106,17 +105,3 @@ def test_adopted_objects_are_rebound_and_usable(heapq_core):
         assert fired == [0.5]
     finally:
         arena.disable()
-
-
-def test_env_var_activates_arena(heapq_core, monkeypatch):
-    monkeypatch.setenv(ARENA_ENV_VAR, "1")
-    arena = sweep_arena()
-    assert arena.active
-    try:
-        donor = Simulator()
-        _fanout_workload(donor, width=20, rounds=2)
-        receiver = Simulator()
-        assert receiver._timeout_pool
-    finally:
-        monkeypatch.delenv(ARENA_ENV_VAR)
-        arena.disable()  # drop the retained source core
