@@ -55,8 +55,6 @@ from repro.experiments.base import ExperimentScale
 from repro.sim.eventcore import backend_token, resolve_backend
 
 __all__ = [
-    "FABRIC_MIN_POINTS",
-    "FABRIC_OFF",
     "Point",
     "PointTimeoutError",
     "SweepSpec",
@@ -425,9 +423,10 @@ class SweepCache:
         """Persist ``value`` atomically against concurrent readers
         *and* writers on the same root.
 
-        The cache root is shared property: pool workers, fabric workers
-        on other hosts (via a network filesystem) and the coordinator
-        all write it concurrently. Three ingredients make that safe:
+        The cache root is shared property: concurrent sweeps (several
+        runner processes, possibly on other hosts via a network
+        filesystem) write it at the same time. Three ingredients make
+        that safe:
 
         * a **per-writer temp name** (random suffix + pid in the
           prefix), so two writers of the same key never clobber each
@@ -605,73 +604,22 @@ def _pool_context():
 # -- fabric ----------------------------------------------------------------
 #
 # The distributed alternative to the local pool: run_sweep(fabric=...)
-# ships pending points to a coordinator/worker fabric
+# ships pending points to a started coordinator/worker fabric
 # (repro.experiments.fabric) instead of a ProcessPoolExecutor. The
-# fabric shares the same content-addressed cache keys, so its workers'
-# local caches, the coordinator's store and this process's store are
-# one coherent cache. Resolution order: explicit argument >
-# set_default_fabric() (the runner's --workers) > REPRO_FABRIC.
-
-#: Sentinel/spec value that disables the fabric even when REPRO_FABRIC
-#: is set (used by traced runs, whose spans must stay in-process).
-FABRIC_OFF = "off"
-
-#: Mixed-mode floor: a sweep with fewer than this many *pending* points
-#: skips a resolved fabric and runs on the in-process pool instead.
-#: Shipping a point costs a network round-trip plus (first use) worker
-#: spawn/handshake, which dwarfs a 2-point residual sweep after a warm
-#: cache; big fan-outs still go distributed. Override with
-#: ``REPRO_FABRIC_MIN_POINTS`` (0 = always use the fabric).
-FABRIC_MIN_POINTS = 4
-
-
-def _fabric_min_points() -> int:
-    """The mixed-mode floor, honouring ``REPRO_FABRIC_MIN_POINTS``."""
-    raw = os.environ.get("REPRO_FABRIC_MIN_POINTS", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            _log.warning("ignoring non-integer REPRO_FABRIC_MIN_POINTS"
-                         "=%r", raw)
-    return FABRIC_MIN_POINTS
+# fabric is a pure transport: the cache lookup before dispatch and the
+# write-back after it stay here, identical for both executors.
 
 _DEFAULT_FABRIC: Optional[Any] = None
-#: spec string -> started Fabric, shared across sweeps and closed at exit.
-_FABRICS: Dict[str, Any] = {}
 
 
 def set_default_fabric(fabric: Optional[Any]) -> Optional[Any]:
-    """Install a process-wide default fabric (spec string, Fabric
-    instance, or :data:`FABRIC_OFF`); returns the previous default."""
+    """Install a process-wide default fabric (a started
+    :class:`repro.experiments.fabric.Fabric`, or None for the pool);
+    returns the previous default."""
     global _DEFAULT_FABRIC
     previous = _DEFAULT_FABRIC
     _DEFAULT_FABRIC = fabric
     return previous
-
-
-def _fabric_for_spec(spec: str) -> Any:
-    """The shared Fabric for a spec string (created once, reused)."""
-    fabric = _FABRICS.get(spec)
-    if fabric is None:
-        import atexit
-        from repro.experiments.fabric import Fabric
-        fabric = _FABRICS[spec] = Fabric(spec)
-        atexit.register(fabric.close)
-    return fabric
-
-
-def _resolve_fabric(fabric: Optional[Any]) -> Optional[Any]:
-    """Resolve run_sweep's ``fabric`` argument to a Fabric or None."""
-    if fabric is None:
-        fabric = _DEFAULT_FABRIC
-    if fabric is None:
-        fabric = os.environ.get("REPRO_FABRIC", "").strip() or None
-    if fabric is None or fabric == FABRIC_OFF or fabric == "":
-        return None
-    if isinstance(fabric, str):
-        return _fabric_for_spec(fabric)
-    return fabric
 
 
 def build_result(spec: SweepSpec,
@@ -710,24 +658,21 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
     the pool against. ``cache=False`` or ``REPRO_NO_CACHE=1`` skips the
     on-disk cache but still deduplicates identical points in-sweep.
 
-    ``fabric`` (or the runner's ``--workers`` default, or
-    ``REPRO_FABRIC``) routes pending points to a distributed
-    coordinator/worker fabric instead of the local pool — a spec string
-    (``"4"`` for local spawns, ``"hostA:7070,hostB:7070"`` for remote
-    workers) or a started :class:`repro.experiments.fabric.Fabric`.
-    Points are pure, so fabric and pool runs are byte-identical; any
-    fabric failure falls back to local execution, like a broken pool.
-    Dispatch is **mixed-mode**: sweeps whose pending-point count is
-    below :data:`FABRIC_MIN_POINTS` (override:
-    ``REPRO_FABRIC_MIN_POINTS``) stay on the in-process pool even with
-    a fabric configured — a near-fully-cached figure's one residual
-    point is cheaper to simulate than to ship.
+    ``fabric`` (default: :func:`set_default_fabric`'s, which the
+    runner's ``--workers`` installs) routes pending points to a started
+    :class:`repro.experiments.fabric.Fabric` instead of the local pool.
+    Either way this function is the only reader and writer of the
+    sweep cache: the executor sees only the points the lookup missed,
+    and every computed non-NaN value is written back here. Points are
+    pure, so fabric and pool runs are byte-identical; any fabric
+    failure falls back to local execution, like a broken pool.
     """
     global _SIMULATED_POINTS
     points = spec.points
     use_cache = cache and not os.environ.get("REPRO_NO_CACHE")
     store = SweepCache(cache_root) if use_cache else None
-    fabric = _resolve_fabric(fabric)
+    if fabric is None:
+        fabric = _DEFAULT_FABRIC
 
     fns = [p.fn or spec.point_fn for p in points]
     keys = [point_key(fn, scale, p.params)
@@ -753,15 +698,6 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
                   dict(points[pending[key][0]].params)) for key in order]
         _SIMULATED_POINTS += len(tasks)
         computed = None
-        if fabric is not None and len(tasks) < _fabric_min_points():
-            # Mixed mode: the distributed path only pays off at fan-out
-            # scale, and the choice cannot change output bits (points
-            # are pure and both paths share the cache keys).
-            _log.debug("sweep %s: %d pending point(s) below the fabric "
-                       "floor (%d); running in-process",
-                       spec.experiment_id, len(tasks),
-                       _fabric_min_points())
-            fabric = None
         if fabric is not None:
             from repro.experiments.fabric import FabricError
             # With an ambient obs context active, the fabric runs every
@@ -769,10 +705,9 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
             # ship them back with their results, and run_tasks merges
             # the payloads into this context worker-tagged (DESIGN.md
             # §10) — so a distributed traced run yields one coherent
-            # trace instead of N invisible ones. Tracing forces the
-            # shared cache off (a hit would skip the simulation that
-            # produces the spans); the runner's --trace-out path
-            # already disables the local cache for the same reason.
+            # trace instead of N invisible ones. The runner's
+            # --trace-out path disables the cache (a hit would skip the
+            # simulation that produces the spans).
             from repro import obs as _obs
             context = _obs.current()
             trace_config = None
@@ -786,10 +721,7 @@ def run_sweep(spec: SweepSpec, scale: ExperimentScale,
                 }
             try:
                 computed = fabric.run_tasks(
-                    tasks, keys=order,
-                    use_cache=(store is not None
-                               and trace_config is None),
-                    trace=trace_config,
+                    tasks, trace=trace_config,
                     obs_context=context if trace_config else None)
             except FabricError as exc:
                 _log.warning(

@@ -1,25 +1,26 @@
-"""Fabric coordinator: work queue, shared cache, straggler-aware dispatch.
+"""Fabric coordinator: work queue and straggler-aware dispatch.
 
 The coordinator owns one listening (or dialing) socket per fabric and a
 single-threaded ``selectors`` event loop. Per ``run_tasks`` call it
-pushes ``task`` messages to idle workers, serves their ``cache_get``
-round-trips from its in-memory results plus its on-disk
-:class:`~repro.experiments.executor.SweepCache`, and collects
-``result`` messages until every task has a value. Freshly *computed*
-(non-NaN, cache-eligible) results are written back into that store as
-they arrive (``cache_writebacks``), so values computed on remote
-workers' disks become peer-cache hits for everyone on the next ask.
+pushes ``task`` messages to idle workers and collects ``result``
+messages until every task has a value. It is a pure transport: the
+sweep cache belongs to ``run_sweep``, which only hands over points it
+could not look up and writes back what comes home.
 
-Dispatch policy (the straggler-aware part, after arXiv 1805.06156):
+Dispatch policy (the straggler-aware part, after arXiv 1805.06156) is
+the project's one :class:`~repro.node.hedging.StragglerEstimator`, the
+same one :class:`~repro.node.hedging.HedgedVolume` consults:
 
-* every completed *compute* latency updates its worker's EWMA and a
-  bounded window whose running **median** is the fabric's notion of a
-  normal point;
+* every completed latency updates its worker's EWMA and a bounded
+  window whose running **median** is the fabric's notion of a normal
+  point;
 * new tasks go to the idle worker with the lowest EWMA (ties broken by
   worker id, so scheduling is reproducible given identical timings);
 * when the queue is empty but workers are idle, the oldest in-flight
   task whose age exceeds ``max(hedge_min_s, hedge_k x median)`` is
-  **hedged** — re-dispatched to an idle worker, at most two copies;
+  **hedged** — re-dispatched to an idle worker, at most two copies
+  (with no latency observed yet the median is 0, so the first hedge
+  may fire after ``hedge_min_s``);
 * **first result wins**: a task's first arriving value is recorded and
   later duplicates are discarded. Point functions are pure and
   deterministic (the executor's core contract, pinned by the
@@ -36,7 +37,7 @@ raised — aborts the run with :class:`FabricError`, mirroring the pool
 path where a raising point surfaces to the caller. ``run_sweep`` treats
 any :class:`FabricError` like a broken pool: recompute locally.
 
-Telemetry: per-worker queue depth, completion/hedge/cache counters and
+Telemetry: per-worker queue depth, completion/hedge counters and
 the coordinator's pending depth are recorded into
 :class:`repro.obs.telemetry.TimeSeries` ring buffers (wall-clock
 timestamps) and exported in the ``repro.obs`` JSONL schema, so
@@ -52,7 +53,6 @@ import logging
 import os
 import selectors
 import socket
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -66,6 +66,7 @@ from repro.experiments.fabric.protocol import (AUTH_ENV, Address,
                                                connect, fabric_secret,
                                                format_address, parse_spec,
                                                send_msg)
+from repro.node.hedging import StragglerEstimator
 
 _log = logging.getLogger("repro.fabric")
 
@@ -75,9 +76,6 @@ __all__ = ["Fabric", "FabricError", "MAX_REQUEUES"]
 #: run aborts — a point that reliably kills its worker must not melt
 #: the whole fabric down retrying forever.
 MAX_REQUEUES = 3
-
-#: Completed compute latencies kept for the running median.
-_LATENCY_WINDOW = 64
 
 #: Handshake budget for spawned/dialed workers.
 _HELLO_TIMEOUT_S = 30.0
@@ -91,9 +89,7 @@ class _Worker:
     """Coordinator-side connection state for one worker process."""
 
     __slots__ = ("ident", "sock", "frames", "task", "dispatched_at",
-                 "ewma_s", "completed", "hedges_won", "cache_local",
-                 "cache_peer", "cache_misses", "computed", "writebacks",
-                 "pid", "host", "process")
+                 "completed", "hedges_won", "pid", "host", "process")
 
     def __init__(self, ident: int, sock: socket.socket,
                  process: Optional[subprocess.Popen] = None):
@@ -102,18 +98,8 @@ class _Worker:
         self.frames = FrameBuffer()
         self.task: Optional[int] = None
         self.dispatched_at = 0.0
-        #: EWMA of this worker's compute latencies (0 until first point:
-        #: unproven workers look fast, so they get work immediately).
-        self.ewma_s = 0.0
         self.completed = 0
         self.hedges_won = 0
-        self.cache_local = 0
-        self.cache_peer = 0
-        #: Cache-enabled tasks that fell through both tiers to compute.
-        self.cache_misses = 0
-        self.computed = 0
-        #: Computed values this worker contributed to the shared store.
-        self.writebacks = 0
         self.pid: Optional[int] = None
         self.host = ""
         self.process = process
@@ -123,8 +109,7 @@ class _Worker:
         return self.task is None
 
     def __repr__(self) -> str:
-        return (f"<worker {self.ident} pid={self.pid} "
-                f"task={self.task} ewma={self.ewma_s:.3f}s>")
+        return f"<worker {self.ident} pid={self.pid} task={self.task}>"
 
 
 class Fabric:
@@ -134,24 +119,22 @@ class Fabric:
     first use; ``Fabric("hostA:7070,hostB:7070")`` dials workers
     started with ``python -m repro.experiments.fabric worker --listen``.
     The connection set persists across sweeps (workers keep their warm
-    arena and local cache); ``close()`` tears everything down.
+    arena); ``close()`` tears everything down.
     """
 
-    def __init__(self, spec: str, cache_root: Optional[str] = None,
-                 hedge_k: float = 3.0, hedge_min_s: float = 1.0,
+    def __init__(self, spec: str, hedge_k: float = 3.0,
+                 hedge_min_s: float = 1.0,
                  worker_env: Optional[Dict[str, str]] = None,
                  secret: Optional[str] = None):
         self.spec: WorkerSpec = parse_spec(spec)
         self.spec_text = spec
-        self.hedge_k = hedge_k
-        self.hedge_min_s = hedge_min_s
-        self._cache_root = cache_root
+        #: Worker idents -> latency EWMAs, plus the hedge threshold.
+        self._straggler = StragglerEstimator(hedge_k, hedge_min_s)
         self._worker_env = dict(worker_env or {})
         #: Shared auth secret: explicit argument wins, else the
         #: environment (REPRO_FABRIC_SECRET); "" means auth off.
         self._secret = fabric_secret() if secret is None \
             else (secret or None)
-        self._store = None  # lazy SweepCache
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._listen_address: Optional[Address] = None
@@ -160,15 +143,11 @@ class Fabric:
         self._ident = itertools.count(1)
         self._runs = itertools.count(1)
         self._started = False
-        self._latencies: deque = deque(maxlen=_LATENCY_WINDOW)
         # Lifetime counters (across runs); surfaced by stats().
         self.completed = 0
         self.hedges_issued = 0
         self.hedges_won = 0
         self.requeued = 0
-        self.cache_local_hits = 0
-        self.cache_peer_hits = 0
-        self.cache_writebacks = 0
         self.duplicate_results = 0
         self.duplicate_mismatches = 0
         self.workers_lost = 0
@@ -343,9 +322,10 @@ class Fabric:
         ours = backend_token()
         theirs = hello.get("eventcore")
         if theirs != ours:
-            # Mixed kernels would mix cache fingerprints: the keys this
-            # coordinator computes embed *its* backend token, so a value
-            # computed on another backend must never satisfy them.
+            # Mixed kernels would mix cache fingerprints: run_sweep
+            # stores each value under a key embedding *this* process's
+            # backend token, so a value computed on another backend must
+            # never come back under it.
             _log.warning(
                 "fabric: refusing worker pid=%s on event core %r "
                 "(coordinator runs %r)", hello.get("pid"), theirs, ours)
@@ -472,7 +452,7 @@ class Fabric:
         return len(lines)
 
     def stats(self) -> Dict[str, Any]:
-        """Lifetime dispatch/cache counters (for ``runner --json``)."""
+        """Lifetime dispatch counters (for ``runner --json``)."""
         return {
             "spec": self.spec_text,
             "workers": len(self._workers),
@@ -481,9 +461,6 @@ class Fabric:
             "hedges_won": self.hedges_won,
             "requeued": self.requeued,
             "workers_lost": self.workers_lost,
-            "cache_local_hits": self.cache_local_hits,
-            "cache_peer_hits": self.cache_peer_hits,
-            "cache_writebacks": self.cache_writebacks,
             "duplicate_results": self.duplicate_results,
             "duplicate_mismatches": self.duplicate_mismatches,
         }
@@ -494,9 +471,8 @@ class Fabric:
         ``(name, kind, value)`` rows suitable for the ``extra``
         argument of :func:`repro.obs.export.export_prometheus`: the
         lifetime fabric counters, then per worker its completion and
-        cache hit/miss/writeback counters and its dispatch-latency
-        EWMA — the numbers that previously only surfaced as raw
-        ``--fabric-trace`` events.
+        hedge-win counters and its latency EWMA — the numbers that
+        otherwise only surface as raw ``--fabric-trace`` events.
         """
         rows: List[Tuple[str, str, float]] = []
         for name, value in self.stats().items():
@@ -509,18 +485,10 @@ class Fabric:
             rows.extend([
                 (f"{prefix}.completed", "counter",
                  float(worker.completed)),
-                (f"{prefix}.computed", "counter", float(worker.computed)),
-                (f"{prefix}.cache_local_hits", "counter",
-                 float(worker.cache_local)),
-                (f"{prefix}.cache_peer_hits", "counter",
-                 float(worker.cache_peer)),
-                (f"{prefix}.cache_misses", "counter",
-                 float(worker.cache_misses)),
-                (f"{prefix}.cache_writebacks", "counter",
-                 float(worker.writebacks)),
                 (f"{prefix}.hedges_won", "counter",
                  float(worker.hedges_won)),
-                (f"{prefix}.ewma_seconds", "gauge", worker.ewma_s),
+                (f"{prefix}.ewma_seconds", "gauge",
+                 self._straggler.ewma.get(ident, 0.0)),
             ])
         return rows
 
@@ -533,34 +501,19 @@ class Fabric:
     # -- the run loop -------------------------------------------------------
 
     def run_tasks(self, tasks: List[Tuple[Any, Any, dict]],
-                  keys: Optional[List[Optional[str]]] = None,
-                  use_cache: bool = False,
                   trace: Optional[Dict[str, Any]] = None,
                   obs_context: Optional[Any] = None) -> List[Any]:
         """Execute ``(point_fn, scale, params)`` tasks; values in order.
 
-        ``keys[i]`` is task i's sweep-cache key (or None); with
-        ``use_cache`` the workers consult/populate the shared cache
-        under those keys. With ``trace`` (an obs span/telemetry config
-        dict, DESIGN.md §10) every task runs traced on its worker and
-        ships spans + telemetry back with its result; the payloads are
-        merged into ``obs_context`` in task order — deterministic
-        regardless of completion order — tagged with the computing
-        worker's ident. Tracing forces the cache off (a hit would skip
-        the simulation that produces the spans). Raises
-        :class:`FabricError` when the fabric cannot produce every
-        value.
+        With ``trace`` (an obs span/telemetry config dict, DESIGN.md
+        §10) every task runs traced on its worker and ships spans +
+        telemetry back with its result; the payloads are merged into
+        ``obs_context`` in task order — deterministic regardless of
+        completion order — tagged with the computing worker's ident.
+        Raises :class:`FabricError` when the fabric cannot produce
+        every value.
         """
         self.start()
-        if keys is None:
-            keys = [None] * len(tasks)
-        if len(keys) != len(tasks):
-            raise ValueError("keys and tasks must align")
-        if trace:
-            use_cache = False
-        if use_cache and self._store is None:
-            from repro.experiments.executor import SweepCache
-            self._store = SweepCache(self._cache_root)
 
         # The run nonce isolates runs sharing one fabric: a hedge copy
         # still computing when its run finishes delivers its result
@@ -568,14 +521,12 @@ class Fabric:
         # mistaken for the later run's same-numbered task.
         run_id = next(self._runs)
         messages = []
-        for index, ((fn, scale, params), key) in enumerate(
-                zip(tasks, keys)):
+        for index, (fn, scale, params) in enumerate(tasks):
             message = {
-                "type": "task", "task": index, "run": run_id, "key": key,
+                "type": "task", "task": index, "run": run_id,
                 "fn": f"{fn.__module__}:{fn.__qualname__}",
                 "scale": [scale.name, scale.duration, scale.warmup],
                 "params": dict(params),
-                "cache": bool(use_cache and key),
             }
             if trace:
                 message["trace"] = dict(trace)
@@ -599,18 +550,6 @@ class Fabric:
                     ident, payload = entry
                     obs_context.ingest_payload(payload, worker=ident)
         return values
-
-    # -- pieces used by _RunState ------------------------------------------
-
-    def _observe_latency(self, worker: _Worker, elapsed: float) -> None:
-        worker.ewma_s = (elapsed if worker.ewma_s == 0.0
-                         else 0.7 * worker.ewma_s + 0.3 * elapsed)
-        self._latencies.append(elapsed)
-
-    def _median_latency(self) -> float:
-        if not self._latencies:
-            return self.hedge_min_s
-        return statistics.median(self._latencies)
 
 
 class _RunState:
@@ -654,28 +593,27 @@ class _RunState:
             fabric._record("fabric.hedges_issued", "counter",
                            fabric.hedges_issued)
 
+    def _pick_idle(self) -> Optional[_Worker]:
+        """The estimator's pick among idle workers, or None."""
+        workers = self.fabric._workers
+        ident = self.fabric._straggler.pick(
+            ident for ident, worker in workers.items() if worker.idle)
+        return None if ident is None else workers[ident]
+
     def _fill_idle(self) -> None:
         """Assign queued tasks, then consider hedging stragglers."""
-        fabric = self.fabric
         while self.pending:
-            idle = [w for w in fabric._workers.values() if w.idle]
-            if not idle:
+            worker = self._pick_idle()
+            if worker is None:
                 return
-            idle.sort(key=lambda w: (w.ewma_s, w.ident))
             task = self.pending.popleft()
             if task in self.results:
                 continue
-            self._dispatch(idle[0], task)
+            self._dispatch(worker, task)
         self._maybe_hedge()
 
     def _maybe_hedge(self) -> None:
-        fabric = self.fabric
-        idle = sorted((w for w in fabric._workers.values() if w.idle),
-                      key=lambda w: (w.ewma_s, w.ident))
-        if not idle:
-            return
-        threshold = max(fabric.hedge_min_s,
-                        fabric.hedge_k * fabric._median_latency())
+        threshold = self.fabric._straggler.threshold()
         now = time.monotonic()
         # Oldest in-flight tasks first; at most two copies each.
         candidates = sorted(
@@ -683,11 +621,12 @@ class _RunState:
              if task not in self.results and len(workers) == 1),
             key=lambda task: self.dispatched_at[task])
         for task in candidates:
-            if not idle:
-                return
             if now - self.dispatched_at[task] <= threshold:
                 return  # sorted: everything later is younger
-            self._dispatch(idle.pop(0), task, hedge=True)
+            worker = self._pick_idle()
+            if worker is None:
+                return
+            self._dispatch(worker, task, hedge=True)
 
     # -- events -------------------------------------------------------------
 
@@ -719,14 +658,6 @@ class _RunState:
     def _on_message(self, worker: _Worker, message: dict) -> None:
         fabric = self.fabric
         kind = message.get("type")
-        if kind == "cache_get":
-            key = message.get("key")
-            hit, value = False, None
-            if fabric._store is not None and key:
-                hit, value = fabric._store.get(key)
-            send_msg(worker.sock,
-                     {"type": "cache_value", "hit": hit, "value": value})
-            return
         if kind == "error":
             if message.get("run") != self.run_id:
                 _log.warning("fabric: late error from a previous run "
@@ -748,22 +679,8 @@ class _RunState:
         task = message.get("task")
         worker.task = None
         fabric._record(f"fabric.w{worker.ident}.inflight", "gauge", 0.0)
-        source = message.get("source", "compute")
-        elapsed = float(message.get("elapsed", 0.0))
-        if source == "compute":
-            fabric._observe_latency(worker, elapsed)
-        elif source == "local-cache":
-            worker.cache_local += 1
-            fabric.cache_local_hits += 1
-            fabric._record("fabric.cache_hits", "counter",
-                           fabric.cache_local_hits
-                           + fabric.cache_peer_hits)
-        elif source == "peer-cache":
-            worker.cache_peer += 1
-            fabric.cache_peer_hits += 1
-            fabric._record("fabric.cache_hits", "counter",
-                           fabric.cache_local_hits
-                           + fabric.cache_peer_hits)
+        fabric._straggler.observe(worker.ident,
+                                  float(message.get("elapsed", 0.0)))
         if task is None or task >= len(self.messages):
             raise FrameError(f"result for unknown task {task!r}")
         if task in self.results:
@@ -789,44 +706,9 @@ class _RunState:
         fabric.completed += 1
         fabric._record(f"fabric.w{worker.ident}.completed", "counter",
                        worker.completed)
-        if source == "compute":
-            worker.computed += 1
-            if self.messages[task].get("cache"):
-                worker.cache_misses += 1
-            payload = message.get("obs")
-            if payload is not None:
-                self.obs_payloads[task] = (worker.ident, payload)
-            self._write_back(task, value, worker)
-
-    def _write_back(self, task: int, value: Any,
-                    worker: _Worker) -> None:
-        """Persist a freshly *computed* result in the coordinator's store.
-
-        Workers write computes to their own local cache, but a dial-out
-        worker's disk is not this coordinator's: without write-back the
-        shared tier only ever returns values the coordinator itself once
-        computed, and every new point stays a guaranteed ``cache_get``
-        miss for all peers. Writing the first copy of each computed
-        value here closes the loop — the next worker asking for this key
-        (a hedge survivor, a re-run, a different sweep sharing points)
-        hits the peer tier instead of recomputing. Cache-ineligible
-        tasks and NaN values (timed-out points, never cached anywhere)
-        are skipped; hedge duplicates never reach this path because the
-        first result already claimed ``results[task]``.
-        """
-        fabric = self.fabric
-        spec = self.messages[task]
-        key = spec.get("key")
-        if fabric._store is None or not spec.get("cache") or not key:
-            return
-        from repro.experiments.executor import _contains_nan
-        if _contains_nan(value):
-            return
-        fabric._store.put(key, value)
-        fabric.cache_writebacks += 1
-        worker.writebacks += 1
-        fabric._record("fabric.cache_writebacks", "counter",
-                       fabric.cache_writebacks)
+        payload = message.get("obs")
+        if payload is not None:
+            self.obs_payloads[task] = (worker.ident, payload)
 
     # -- main loop ----------------------------------------------------------
 

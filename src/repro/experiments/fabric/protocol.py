@@ -14,8 +14,9 @@ type           direction  payload
 =============  =========  ==============================================
 ``hello``      w -> c     ``pid``, ``host``, ``eventcore`` (backend
                           token; the coordinator refuses workers whose
-                          kernel backend differs from its own — mixed
-                          backends would mix cache fingerprints),
+                          kernel backend differs from its own — the
+                          sweep's cache keys embed the coordinator's
+                          backend token),
                           ``nonce`` (worker's challenge material),
                           ``auth`` (bool: the worker holds a secret and
                           demands mutual authentication)
@@ -27,22 +28,17 @@ type           direction  payload
 ``auth``       w -> c     ``mac`` — the worker's HMAC over the
                           coordinator's challenge nonce; closes the
                           mutual handshake
-``task``       c -> w     ``task`` (id), ``key`` (cache key or null),
-                          ``fn`` ("module:qualname"), ``scale``
-                          ({name, duration, warmup}), ``params``,
-                          ``cache`` (bool), optional ``trace`` — obs
-                          config ({span_capacity, span_reserved,
-                          telemetry_interval, telemetry_capacity}): run
-                          the point under a worker-local ObsContext and
-                          ship the observations back (tracing implies
-                          cache off — a hit would skip the simulation)
-``cache_get``  w -> c     ``key`` — remote lookup in the coordinator's
-                          store on a worker-local miss
-``cache_value`` c -> w    ``hit``, ``value``
-``result``     w -> c     ``task``, ``key``, ``value``, ``source``
-                          ("compute" / "local-cache" / "peer-cache"),
-                          ``elapsed`` (worker wall seconds), optional
-                          ``obs`` (traced tasks only; DESIGN.md §10):
+``task``       c -> w     ``task`` (id), ``run`` (run nonce), ``fn``
+                          ("module:qualname"), ``scale`` ({name,
+                          duration, warmup}), ``params``, optional
+                          ``trace`` — obs config ({span_capacity,
+                          span_reserved, telemetry_interval,
+                          telemetry_capacity}): run the point under a
+                          worker-local ObsContext and ship the
+                          observations back
+``result``     w -> c     ``task``, ``run``, ``value``, ``elapsed``
+                          (worker wall seconds), optional ``obs``
+                          (traced tasks only; DESIGN.md §10):
                           ``spans`` — packed span records
                           ([id, trace, parent, name, cat, start, end,
                           args], parents before children), ``dropped``
@@ -56,9 +52,9 @@ type           direction  payload
 
 The worker side is strictly alternating: after ``hello`` it receives
 exactly one coordinator message at a time and answers every ``task``
-with ``result``/``error`` (with at most one ``cache_get`` round-trip in
-between). The coordinator never sends ``task`` to a busy worker, so
-there is no interleaving to disambiguate.
+with ``result``/``error``. The coordinator never sends ``task`` to a
+busy worker, so there is no interleaving to disambiguate. Workers never
+touch the sweep cache: ``run_sweep`` owns every lookup and write.
 
 Worker addresses (``parse_spec``): a bare integer ``"4"`` asks the
 coordinator to spawn that many local worker processes over a private
@@ -273,7 +269,7 @@ def connect(address: Address, timeout: Optional[float] = None) \
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Parsed ``--workers`` / ``REPRO_FABRIC`` value.
+    """Parsed ``--workers`` value.
 
     Exactly one of ``spawn`` (local worker count) or ``addresses``
     (remote endpoints to dial) is set.

@@ -1,23 +1,16 @@
-"""Fabric worker: pull points off the wire, compute or reuse, stream back.
+"""Fabric worker: pull points off the wire, compute, stream back.
 
 One worker process serves one coordinator connection at a time. Its
 loop is the strictly alternating half of the protocol (see
-:mod:`repro.experiments.fabric.protocol`):
-
-1. receive a ``task``;
-2. on a cache-enabled task, try the worker-local
-   :class:`~repro.experiments.executor.SweepCache` first, then one
-   ``cache_get`` round-trip to the coordinator (whose store is warmed by
-   every other worker — the *shared* half of the content-addressed
-   cache), and only then compute;
-3. answer with ``result`` (or ``error`` if the point function raised).
+:mod:`repro.experiments.fabric.protocol`): receive a ``task``, compute
+it, answer with ``result`` (or ``error`` if the point function raised).
+The worker never touches the sweep cache — ``run_sweep`` looks every
+key up before dispatch and writes every computed value back, so only
+points it actually needs reach the wire.
 
 Points are computed through :func:`repro.experiments.executor._invoke`,
 so ``REPRO_POINT_TIMEOUT`` means exactly what it means in the pool: an
-overrunning point yields NaN, and NaN results are never written to any
-cache tier. Freshly computed non-NaN values are written to the local
-store before the result goes back, so a later sweep on this host hits
-without a network round-trip.
+overrunning point yields NaN, which ``run_sweep`` refuses to cache.
 
 Workers enable the sweep-wide free-list arena
 (:func:`repro.sim.eventcore.sweep_arena`) at startup: pooled
@@ -30,7 +23,6 @@ from __future__ import annotations
 
 import hmac
 import logging
-import math
 import os
 import socket
 import time
@@ -67,29 +59,6 @@ def resolve_point_fn(spec: str):
     return obj
 
 
-def _contains_nan(value: Any) -> bool:
-    if isinstance(value, dict):
-        return any(isinstance(v, float) and math.isnan(v)
-                   for v in value.values())
-    return isinstance(value, float) and math.isnan(value)
-
-
-def _peer_cache_get(sock: socket.socket, key: str):
-    """One ``cache_get`` round-trip; (hit, value).
-
-    A ``shutdown`` arriving instead of the reply ends the process —
-    the coordinator is tearing the fabric down mid-task.
-    """
-    send_msg(sock, {"type": "cache_get", "key": key})
-    reply = recv_msg(sock)
-    if reply is None or reply.get("type") == "shutdown":
-        raise SystemExit(0)
-    if reply.get("type") != "cache_value":
-        raise FrameError(
-            f"expected cache_value, got {reply.get('type')!r}")
-    return bool(reply.get("hit")), reply.get("value")
-
-
 def _invoke_traced(task: tuple, trace: Dict[str, Any]) -> tuple:
     """Compute one point under a worker-local obs context.
 
@@ -121,43 +90,22 @@ def _invoke_traced(task: tuple, trace: Dict[str, Any]) -> tuple:
     return value, context.pack_payload()
 
 
-def handle_task(sock: socket.socket, message: Dict[str, Any],
-                cache) -> None:
+def handle_task(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Serve one ``task`` message; always answers exactly once."""
     task_id = message.get("task")
     try:
         point_fn = resolve_point_fn(message["fn"])
         scale = ExperimentScale(*message["scale"])
         params = dict(message.get("params") or {})
-        key: Optional[str] = message.get("key")
         trace = message.get("trace")
-        # A traced task must actually *run* — a cache hit would return
-        # the right value but no spans — so tracing disables both cache
-        # tiers regardless of what the task says.
-        use_cache = bool(message.get("cache")) and key is not None \
-            and cache is not None and not trace
         started = time.monotonic()
-        value = None
         obs_payload = None
-        source = "compute"
-        if use_cache:
-            hit, value = cache.get(key)
-            if hit:
-                source = "local-cache"
-            else:
-                hit, value = _peer_cache_get(sock, key)
-                if hit:
-                    source = "peer-cache"
-                    cache.put(key, value)
-        if source == "compute":
-            if trace:
-                value, obs_payload = _invoke_traced(
-                    (point_fn, scale, params), trace)
-            else:
-                from repro.experiments.executor import _invoke
-                value = _invoke((point_fn, scale, params))
-            if use_cache and not _contains_nan(value):
-                cache.put(key, value)
+        if trace:
+            value, obs_payload = _invoke_traced(
+                (point_fn, scale, params), trace)
+        else:
+            from repro.experiments.executor import _invoke
+            value = _invoke((point_fn, scale, params))
     except SystemExit:
         raise
     except BaseException as exc:  # noqa: BLE001 - reported, not fatal
@@ -168,16 +116,14 @@ def handle_task(sock: socket.socket, message: Dict[str, Any],
                         "error": f"{type(exc).__name__}: {exc}"})
         return
     reply = {"type": "result", "task": task_id,
-             "run": message.get("run"),
-             "key": message.get("key"), "value": value,
-             "source": source,
+             "run": message.get("run"), "value": value,
              "elapsed": time.monotonic() - started}
     if obs_payload is not None:
         reply["obs"] = obs_payload
     send_msg(sock, reply)
 
 
-def serve_connection(sock: socket.socket, cache=None) -> None:
+def serve_connection(sock: socket.socket) -> None:
     """Run the worker protocol over an established connection.
 
     With ``REPRO_FABRIC_SECRET`` set the first coordinator message
@@ -185,9 +131,6 @@ def serve_connection(sock: socket.socket, cache=None) -> None:
     anything else — including a bare ``task`` from an unauthenticated
     coordinator — closes the connection before any point runs.
     """
-    if cache is None:
-        from repro.experiments.executor import SweepCache
-        cache = SweepCache()
     secret = fabric_secret()
     nonce = os.urandom(16).hex()
     send_msg(sock, {"type": "hello", "pid": os.getpid(),
@@ -222,7 +165,7 @@ def serve_connection(sock: socket.socket, cache=None) -> None:
         if message is None or message.get("type") == "shutdown":
             return
         if message.get("type") == "task":
-            handle_task(sock, message, cache)
+            handle_task(sock, message)
         else:
             raise FrameError(
                 f"unexpected coordinator message {message.get('type')!r}")
@@ -243,6 +186,10 @@ def main(connect_to: Optional[str] = None,
                                 timeout=30.0)
         try:
             serve_connection(sock)
+        except (FrameError, ConnectionError) as exc:
+            # The coordinator closed while this worker was still
+            # computing a hedge copy it no longer needs.
+            _log.debug("coordinator closed the session: %s", exc)
         finally:
             sock.close()
         return 0

@@ -1,7 +1,7 @@
 """Sweep-fabric fan-out benchmark: points/s vs worker count.
 
-The fabric's job is dispatch overlap: keep N workers busy, hedge
-stragglers, reuse cached results. A CPU-bound point cannot demonstrate
+The fabric's job is dispatch overlap: keep N workers busy and hedge
+stragglers. A CPU-bound point cannot demonstrate
 that on a small (or single-core) CI box — N workers time-slice one
 core and the speedup is ~1x by construction. So the benchmark point is
 **wait-dominated**: a tiny real simulation (exercises the import +
@@ -15,7 +15,7 @@ dispatch overhead bites.
 ``measure_sweep`` times ``Fabric.run_tasks`` only (worker spawn +
 handshake happen in ``Fabric.start`` beforehand): the steady-state
 dispatch rate is the regression-gated quantity, not process startup.
-Runs are cache-cold (``use_cache=False``) so every point is computed.
+The fabric never consults the sweep cache, so every point is computed.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def measure_sweep(worker_counts: Iterable[int] = WORKER_COUNTS,
         with Fabric(str(workers)) as fabric:
             fabric.start()          # spawn + handshake, not measured
             started = time.perf_counter()
-            values = fabric.run_tasks(tasks, use_cache=False)
+            values = fabric.run_tasks(tasks)
             elapsed = time.perf_counter() - started
         expected = [fanout_point(None, task[2]) for task in tasks]
         if values != expected:

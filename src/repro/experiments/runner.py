@@ -31,15 +31,16 @@ simulation that produces them.
 integer spawns that many local worker processes, a comma-separated
 ``host:port`` list dials long-lived remote workers. ``--fabric-trace
 PATH`` additionally writes the coordinator's per-worker telemetry
-(queue depth, hedges, cache hits) as a JSONL log that ``python -m
-repro.obs.report`` renders.
+(queue depth, hedges, completions) as a JSONL log that ``python -m
+repro.obs.report`` renders. The sweep cache works the same with or
+without ``--workers``: only points it misses are shipped.
 
 ``--workers`` composes with ``--trace-out`` (DESIGN.md §10): each
 worker runs its points under a worker-local obs context and ships
 spans + telemetry back with its results; the coordinator merges them
 into one worker-tagged Chrome trace, and ``PATH.prom`` becomes the
 fleet-wide Prometheus dump (worker telemetry plus the fabric's
-per-worker cache/dispatch counters).
+per-worker dispatch counters).
 """
 
 from __future__ import annotations
@@ -97,14 +98,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "fabric: an integer spawns that many local "
                              "worker processes, 'host:port,...' dials "
                              "remote workers started with 'python -m "
-                             "repro.experiments.fabric worker --listen' "
-                             "(default: REPRO_FABRIC if set)")
+                             "repro.experiments.fabric worker --listen'")
     parser.add_argument("--fabric-trace", metavar="PATH",
                         dest="fabric_trace",
                         help="with --workers: write per-worker fabric "
-                             "telemetry (queue depth, hedges, cache "
-                             "hits) as a repro.obs JSONL log to PATH "
-                             "(read with python -m repro.obs.report)")
+                             "telemetry (queue depth, hedges, "
+                             "completions) as a repro.obs JSONL log "
+                             "to PATH (read with python -m "
+                             "repro.obs.report)")
     arguments = parser.parse_args(argv)
     if arguments.telemetry is not None and not arguments.trace_out:
         parser.error("--telemetry requires --trace-out")
@@ -123,16 +124,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     fabric = None
     if arguments.trace_out:
         from repro import obs
-        from repro.experiments import executor
         obs_context = obs.ObsContext(
             telemetry_interval=arguments.telemetry)
         jobs = 1          # local fallbacks stay in this traced process
         use_cache = False  # a cache hit would skip the traced run
-        if not arguments.workers:
-            # A REPRO_FABRIC default would move points off-process
-            # untraced; with --workers the fabric *is* the traced path
-            # (workers ship their spans back, see DESIGN.md §10).
-            executor.set_default_fabric(executor.FABRIC_OFF)
     if arguments.workers:
         from repro.experiments import executor
         from repro.experiments.fabric import Fabric, FabricError
@@ -195,8 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"[fabric trace -> {arguments.fabric_trace}]")
         print(f"[fabric: {stats['workers']} workers, "
               f"{stats['completed']} computed, "
-              f"{stats['cache_local_hits'] + stats['cache_peer_hits']} "
-              f"cache hits, {stats['hedges_issued']} hedges "
+              f"{stats['hedges_issued']} hedges "
               f"({stats['hedges_won']} won), "
               f"{stats['requeued']} requeued]")
         fabric.close()

@@ -5,7 +5,8 @@ single :class:`~repro.io.BlockDevice`; :mod:`repro.node.topology` provides
 the paper's three configurations (base 1×1, medium 2×4, large 15-16×4).
 """
 
-from repro.node.hedging import HedgedVolume, HedgePolicy
+from repro.node.hedging import HedgedVolume, HedgePolicy, \
+    StragglerEstimator
 from repro.node.node import HostParams, StorageNode
 from repro.node.striping import StripedVolume
 from repro.node.topology import (
@@ -22,6 +23,7 @@ __all__ = [
     "HostParams",
     "NodeTopology",
     "StorageNode",
+    "StragglerEstimator",
     "StripedVolume",
     "base_topology",
     "build_node",

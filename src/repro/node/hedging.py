@@ -2,10 +2,12 @@
 
 The paper's round-robin dispatch assumes every spindle services requests
 at the same rate; one slow disk inflates the tail for every stream
-mapped to it. This module brings the sweep fabric's straggler policy
-(`repro.experiments.fabric.coordinator`) *inside* the simulated storage
-stack: a :class:`HedgedVolume` is a RAID-1-style mirror over member
-disks — every member holds a full copy — that
+mapped to it. This module holds the project's one straggler policy,
+:class:`StragglerEstimator`, which the sweep fabric's coordinator
+(`repro.experiments.fabric.coordinator`) consults for worker dispatch
+and which :class:`HedgedVolume` brings *inside* the simulated storage
+stack: a RAID-1-style mirror over member disks — every member holds a
+full copy — that
 
 * routes each read to one member, picked either round-robin (the
   paper's baseline) or by a per-member latency EWMA with idle
@@ -39,7 +41,8 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import (Deque, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set)
 
 from repro.faults.errors import DiskDeadError
 from repro.io import IORequest, stamp_submit
@@ -47,12 +50,62 @@ from repro.sim import Simulator
 from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
 
-__all__ = ["HedgePolicy", "HedgedVolume"]
+__all__ = ["HedgePolicy", "HedgedVolume", "StragglerEstimator"]
 
-#: Latency samples kept for the hedge-trigger median (fabric's shape).
+#: Latency samples kept for the hedge-trigger median.
 _LATENCY_WINDOW = 64
 
 _SELECT_POLICIES = ("ewma", "roundrobin")
+
+
+class StragglerEstimator:
+    """The one straggler policy: per-member EWMA plus a window median.
+
+    Shared by :class:`HedgedVolume` (members are disk ids, latencies in
+    simulated seconds) and the sweep fabric's coordinator (members are
+    worker idents, latencies in wall seconds), after arXiv 1805.06156's
+    single straggler-detection policy consulted by every dispatcher.
+
+    * :meth:`observe` folds a completed copy's latency into its
+      member's EWMA and into one bounded window shared by all members;
+    * :meth:`threshold` is ``max(hedge_min_s, hedge_k × median)`` of
+      that window — an empty window has median 0, so a cold estimator
+      hedges after ``hedge_min_s``;
+    * :meth:`pick` is the lowest ``(ewma, member)``: an unproven member
+      scores 0.0 and so looks fast, and the id breaks ties so the
+      choice is reproducible given identical timings.
+    """
+
+    __slots__ = ("hedge_k", "hedge_min_s", "alpha", "ewma", "_window")
+
+    def __init__(self, hedge_k: float, hedge_min_s: float,
+                 ewma_alpha: float = 0.3,
+                 window: int = _LATENCY_WINDOW):
+        self.hedge_k = hedge_k
+        self.hedge_min_s = hedge_min_s
+        self.alpha = ewma_alpha
+        #: member -> latency EWMA; absent (0.0) means unproven
+        self.ewma: Dict[Hashable, float] = {}
+        self._window: Deque[float] = deque(maxlen=window)
+
+    def observe(self, member: Hashable, elapsed: float) -> None:
+        prev = self.ewma.get(member, 0.0)
+        if prev == 0.0:
+            self.ewma[member] = elapsed
+        else:
+            alpha = self.alpha
+            self.ewma[member] = (1.0 - alpha) * prev + alpha * elapsed
+        self._window.append(elapsed)
+
+    def threshold(self) -> float:
+        median = statistics.median(self._window) if self._window else 0.0
+        return max(self.hedge_min_s, self.hedge_k * median)
+
+    def pick(self, members: Iterable[Hashable]) -> Optional[Hashable]:
+        """Fastest of ``members`` by ``(ewma, id)``; None when empty."""
+        ewma = self.ewma
+        return min(members, key=lambda m: (ewma.get(m, 0.0), m),
+                   default=None)
 
 
 @dataclass(frozen=True)
@@ -63,7 +116,7 @@ class HedgePolicy:
     ----------
     select:
         ``"ewma"`` picks the idle member with the lowest latency EWMA
-        (unproven members look fast, matching the fabric's estimator);
+        (unproven members look fast; see :class:`StragglerEstimator`);
         ``"roundrobin"`` rotates over members — the paper's baseline.
     hedge:
         Enable duplicate reads for stragglers. Off by default so a
@@ -154,12 +207,12 @@ class HedgedVolume:
         self.capacity_bytes = node.capacity_bytes
         self.stats = StatsRegistry()
         self._dead_disks: Set[int] = set()
-        #: per-member latency estimate; 0.0 = unproven (looks fast)
-        self._ewma: Dict[int, float] = {d: 0.0 for d in self.disk_ids}
+        self._straggler = StragglerEstimator(
+            self.policy.hedge_k, self.policy.hedge_min_s,
+            ewma_alpha=self.policy.ewma_alpha,
+            window=self.policy.latency_window)
         #: copies in flight per member (idle preference + hedging)
         self._inflight: Dict[int, int] = {d: 0 for d in self.disk_ids}
-        self._window: Deque[float] = deque(
-            maxlen=self.policy.latency_window)
         self._rr_next = 0
         # Cached guard so the hedging-off submit path never consults
         # the policy object per request.
@@ -188,20 +241,6 @@ class HedgedVolume:
             self._dead_disks.add(disk_id)
             self.stats.counter("disk_deaths").add()
 
-    # -- estimator (fabric's shape) -----------------------------------------
-    def _observe(self, member: int, elapsed: float) -> None:
-        prev = self._ewma[member]
-        if prev == 0.0:
-            self._ewma[member] = elapsed
-        else:
-            alpha = self.policy.ewma_alpha
-            self._ewma[member] = (1.0 - alpha) * prev + alpha * elapsed
-        self._window.append(elapsed)
-
-    def _hedge_threshold(self) -> float:
-        median = statistics.median(self._window) if self._window else 0.0
-        return max(self.policy.hedge_min_s, self.policy.hedge_k * median)
-
     def _learn(self, member: int, exc: BaseException) -> None:
         if isinstance(exc, DiskDeadError) \
                 and member not in self._dead_disks:
@@ -216,28 +255,22 @@ class HedgedVolume:
                 self._rr_next += 1
                 if disk not in self._dead_disks:
                     return disk
-        # EWMA: idle members first, fastest estimate wins, id breaks
-        # ties — the fabric's (ewma, ident) ordering.
+        # EWMA: idle members first, then the estimator's pick.
         idle = [d for d in live if not self._inflight[d]]
-        pool = idle or live
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._straggler.pick(idle or live)
 
     def _pick_redirect(self, tried: Set[int]) -> Optional[int]:
         """Fastest untried live member, or None when exhausted."""
-        pool = [d for d in self.disk_ids
-                if d not in tried and d not in self._dead_disks]
-        if not pool:
-            return None
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._straggler.pick(
+            d for d in self.disk_ids
+            if d not in tried and d not in self._dead_disks)
 
     def _pick_hedge(self, tried: Set[int]) -> Optional[int]:
         """Fastest *idle* untried live member (hedges never queue)."""
-        pool = [d for d in self.disk_ids
-                if d not in tried and d not in self._dead_disks
-                and not self._inflight[d]]
-        if not pool:
-            return None
-        return min(pool, key=lambda d: (self._ewma[d], d))
+        return self._straggler.pick(
+            d for d in self.disk_ids
+            if d not in tried and d not in self._dead_disks
+            and not self._inflight[d])
 
     # -- BlockDevice protocol -----------------------------------------------
     def submit(self, request: IORequest) -> Event:
@@ -308,7 +341,7 @@ class HedgedVolume:
                 self.stats.counter("redirects").add()
                 continue
             self._inflight[member] -= 1
-            self._observe(member, self.sim.now - started)
+            self._straggler.observe(member, self.sim.now - started)
             request.complete_time = self.sim.now
             self.stats.counter("completed").add(request.size)
             self.stats.latency("latency").observe(request.latency)
@@ -355,7 +388,7 @@ class HedgedVolume:
             self._launch(race, next_member, is_hedge=False)
             return
         self._inflight[member] -= 1
-        self._observe(member, self.sim.now - started)
+        self._straggler.observe(member, self.sim.now - started)
         race.outstanding -= 1
         if race.decided:
             # The loser of the race: drained deterministically — its
@@ -373,7 +406,7 @@ class HedgedVolume:
 
     def _hedge_timer(self, race: _ReadRace):
         """Issue at most one duplicate copy once the read ages out."""
-        yield self.sim.timeout(self._hedge_threshold())
+        yield self.sim.timeout(self._straggler.threshold())
         if race.decided or race.outstanding != 1:
             return
         member = self._pick_hedge(race.tried)

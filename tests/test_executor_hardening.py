@@ -139,16 +139,24 @@ def test_point_timeout_yields_nan_and_is_not_cached(tmp_path,
     points = [Point(series="s", x=1.0, params={"x": 1.0, "slow": True}),
               Point(series="s", x=2.0, params={"x": 2.0})]
     spec = _spec(_slow_point, points)
-    with caplog.at_level("WARNING", logger="repro.sweeps"):
-        result = run_sweep(spec, TINY, jobs=1, cache_root=tmp_path)
-    assert math.isnan(result.series[0].ys[0])
-    assert result.series[0].ys[1] == 4.0
-    # The healthy point is cached; the timed-out one is not.
     slow_key = point_key(_slow_point, TINY, points[0].params)
     fast_key = point_key(_slow_point, TINY, points[1].params)
-    store = SweepCache(tmp_path)
-    assert store.get(slow_key) == (False, None)
-    assert store.get(fast_key) == (True, 4.0)
+    from repro.experiments.fabric import Fabric
+    # Serially and through a fabric worker (which inherits the timeout
+    # from the environment): run_sweep alone decides what is cached.
+    with Fabric("1") as fabric:
+        for route, via in (("serial", None), ("fabric", fabric)):
+            root = tmp_path / route
+            with caplog.at_level("WARNING", logger="repro.sweeps"):
+                result = run_sweep(spec, TINY, jobs=1, cache_root=root,
+                                   fabric=via)
+            assert math.isnan(result.series[0].ys[0])
+            assert result.series[0].ys[1] == 4.0
+            # The healthy point is cached; the timed-out one is not.
+            store = SweepCache(root)
+            assert store.get(slow_key) == (False, None)
+            assert store.get(fast_key) == (True, 4.0)
+        assert fabric.completed == 2
 
 
 def test_point_timeout_disabled_by_default(tmp_path, monkeypatch):

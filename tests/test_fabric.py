@@ -8,8 +8,9 @@ The load-bearing pins (ISSUE 7):
 * **crash safety** — a worker killed mid-point loses nothing: the task
   is re-queued (bounded), the fabric respawns, and no partial value is
   ever cached;
-* **shared cache** — a cache-cold worker reuses a cache-warm peer's
-  result through the coordinator instead of recomputing.
+* **one cache owner** — ``run_sweep`` is the only reader and writer of
+  the sweep cache: a fabric sweep writes exactly the store it was given
+  (never ``REPRO_SWEEP_CACHE``'s), and a warm store ships no point.
 """
 
 import io
@@ -20,9 +21,10 @@ import time
 
 import pytest
 
-from repro.experiments import SMOKE, executor, fig06_segsize
+from repro.experiments import SMOKE, fig06_segsize
 from repro.experiments.base import ExperimentScale
-from repro.experiments.executor import SweepCache, point_key, run_sweep
+from repro.experiments.executor import (Point, SweepCache, SweepSpec,
+                                        point_key, run_sweep)
 from repro.experiments.fabric import Fabric, FabricError
 from repro.experiments.fabric.protocol import (FrameBuffer, FrameError,
                                                WorkerSpec, parse_address,
@@ -44,10 +46,6 @@ def _cheap_point(scale, params):
 def _slow_point(scale, params):
     time.sleep(0.25)
     return float(params["x"]) + 0.5
-
-
-def _nan_point(scale, params):
-    return float("nan")
 
 
 def _die_once_point(scale, params):
@@ -124,28 +122,11 @@ def test_resolve_point_fn_roundtrip():
         resolve_point_fn("math:pi")
 
 
-def test_fabric_resolution_order(monkeypatch):
-    monkeypatch.delenv("REPRO_FABRIC", raising=False)
-    assert executor._resolve_fabric(None) is None
-    assert executor._resolve_fabric(executor.FABRIC_OFF) is None
-    sentinel = object()
-    assert executor._resolve_fabric(sentinel) is sentinel
-    previous = executor.set_default_fabric(sentinel)
-    try:
-        assert executor._resolve_fabric(None) is sentinel
-        # FABRIC_OFF beats both the default and the environment.
-        monkeypatch.setenv("REPRO_FABRIC", "4")
-        assert executor._resolve_fabric(executor.FABRIC_OFF) is None
-    finally:
-        executor.set_default_fabric(previous)
-
-
 def test_run_sweep_falls_back_when_fabric_breaks():
     class BrokenFabric:
         calls = 0
 
-        def run_tasks(self, tasks, keys=None, use_cache=False,
-                      trace=None, obs_context=None):
+        def run_tasks(self, tasks, trace=None, obs_context=None):
             BrokenFabric.calls += 1
             raise FabricError("fabric unreachable")
 
@@ -155,40 +136,6 @@ def test_run_sweep_falls_back_when_fabric_breaks():
                          fabric=BrokenFabric())
     assert BrokenFabric.calls == 1
     assert serial.as_dict() == degraded.as_dict()
-
-
-def test_mixed_mode_small_sweeps_skip_the_fabric(monkeypatch):
-    """Sweeps under the FABRIC_MIN_POINTS floor run in-process even
-    with a fabric configured; REPRO_FABRIC_MIN_POINTS=0 forces the
-    fabric for everything."""
-    from repro.experiments.executor import Point, SweepSpec
-
-    class CountingFabric:
-        def __init__(self):
-            self.calls = 0
-
-        def run_tasks(self, tasks, keys=None, use_cache=False,
-                      trace=None, obs_context=None):
-            self.calls += 1
-            return [fn(scale, params) for fn, scale, params in tasks]
-
-    spec = SweepSpec(
-        experiment_id="mixed-mode-tiny", title="t", x_label="x",
-        y_label="y", point_fn=_cheap_point,
-        points=(Point(series="y", x=1, params={"x": 1}),
-                Point(series="y", x=2, params={"x": 2})))
-    counting = CountingFabric()
-    small = run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
-    assert counting.calls == 0  # 2 pending points < floor of 4
-    monkeypatch.setenv("REPRO_FABRIC_MIN_POINTS", "0")
-    forced = run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
-    assert counting.calls == 1
-    assert small.as_dict() == forced.as_dict()  # route never changes bits
-    # A malformed override is ignored, not fatal: back to the default
-    # floor, so the 2-point sweep stays local again.
-    monkeypatch.setenv("REPRO_FABRIC_MIN_POINTS", "many")
-    run_sweep(spec, TINY, jobs=1, cache=False, fabric=counting)
-    assert counting.calls == 1
 
 
 # ---------------------------------------------------------------------------
@@ -221,99 +168,58 @@ def test_fabric_matches_serial_bit_identical_smoke():
 
 def test_worker_killed_mid_point_requeues_and_never_caches_partial(
         tmp_path):
-    coord_root = tmp_path / "coord"
-    worker_root = tmp_path / "workers"
-    tasks = [(_die_once_point, TINY,
-              {"sentinel": str(tmp_path / f"sentinel-{i}")})
-             for i in range(2)]
-    keys = [point_key(fn, scale, params)
-            for fn, scale, params in tasks]
-    with Fabric("2", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(worker_root)}
-                ) as fabric:
-        values = fabric.run_tasks(tasks, keys=keys, use_cache=True)
-        assert values == [42.0, 42.0]
+    root = tmp_path / "cache"
+    spec = SweepSpec(
+        experiment_id="die-once", title="t", x_label="x", y_label="y",
+        point_fn=_die_once_point,
+        points=tuple(Point(series="y", x=i, params={
+            "sentinel": str(tmp_path / f"sentinel-{i}")})
+            for i in range(2)))
+    with Fabric("2") as fabric:
+        result = run_sweep(spec, TINY, jobs=1, cache_root=root,
+                           fabric=fabric)
+        assert result.series[0].ys == [42.0, 42.0]
         assert fabric.requeued == 2
         assert fabric.workers_lost >= 2
     # The kill happened mid-point: only the completed retry may be
     # cached, and it must be the full value.
-    store = SweepCache(str(worker_root))
-    for key in keys:
-        assert store.get(key) == (True, 42.0)
-    # Every file under the shared root is a complete JSON document —
-    # no half-written temp garbage survived the crashes.
-    for path in worker_root.rglob("*"):
+    store = SweepCache(str(root))
+    for point in spec.points:
+        assert store.get(point_key(_die_once_point, TINY,
+                                   point.params)) == (True, 42.0)
+    # Every file under the store is a complete JSON document — no
+    # half-written temp garbage survived the crashes.
+    for path in root.rglob("*"):
         if path.is_file():
             payload = json.loads(path.read_text())
             assert payload["value"] == 42.0
 
 
-def test_cold_worker_reuses_warm_peer_result_via_coordinator(tmp_path):
-    coord_root = tmp_path / "coord"
-    worker_root = tmp_path / "worker"
-    task = (_cheap_point, TINY, {"x": 3})
-    key = point_key(*task)
-    # Another worker's past result lives in the coordinator's store.
-    SweepCache(str(coord_root)).put(key, 123.5)
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(worker_root)}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [123.5]
-        assert fabric.cache_peer_hits == 1
-        # The peer hit was copied into the worker's local tier: the
-        # second sweep answers without a coordinator round-trip.
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [123.5]
-        assert fabric.cache_local_hits == 1
-    assert SweepCache(str(worker_root)).get(key) == (True, 123.5)
-
-
-def test_computed_result_written_back_to_coordinator_store(tmp_path):
-    coord_root = tmp_path / "coord"
-    task = (_cheap_point, TINY, {"x": 9})
-    key = point_key(*task)
-    expected = _cheap_point(TINY, {"x": 9})
-    # The worker caches on a *different* disk than the coordinator — the
-    # dial-out shape where, without write-back, the coordinator's store
-    # never learns computed values.
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w1")}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [expected]
-        assert fabric.cache_writebacks == 1
-        assert fabric.stats()["cache_writebacks"] == 1
-    # The computed value landed in the coordinator's store...
-    assert SweepCache(str(coord_root)).get(key) == (True, expected)
-    # ...so a fresh, cache-cold worker peer-hits instead of recomputing.
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w2")}
-                ) as fabric:
-        assert fabric.run_tasks([task], keys=[key],
-                                use_cache=True) == [expected]
-        assert fabric.cache_peer_hits == 1
-        assert fabric.cache_writebacks == 0  # peer hits are not computes
-
-
-def test_cacheless_and_nan_results_are_not_written_back(tmp_path):
-    coord_root = tmp_path / "coord"
-    task = (_cheap_point, TINY, {"x": 1})
-    with Fabric("1", cache_root=str(coord_root),
-                worker_env={"REPRO_SWEEP_CACHE": str(tmp_path / "w")}
-                ) as fabric:
-        # No keys / cache disabled: nothing may touch the store.
-        fabric.run_tasks([task])
-        assert fabric.cache_writebacks == 0
-        # NaN (the timed-out-point sentinel) is never cached anywhere.
-        nan_task = (_nan_point, TINY, {})
-        values = fabric.run_tasks([nan_task],
-                                  keys=[point_key(*nan_task)],
-                                  use_cache=True)
-        assert len(values) == 1 and values[0] != values[0]
-        assert fabric.cache_writebacks == 0
-    assert not (coord_root / "").exists() or not any(
-        path.is_file() for path in coord_root.rglob("*"))
+def test_fabric_sweep_caches_only_in_run_sweeps_store(tmp_path,
+                                                      monkeypatch):
+    """The fabric keeps no cache of its own: a fabric sweep writes one
+    file per distinct key to ``cache_root`` and nothing to
+    ``REPRO_SWEEP_CACHE``, and a re-run is served entirely by
+    ``run_sweep``'s lookup, shipping no point at all."""
+    env_root = tmp_path / "env"
+    root = tmp_path / "root"
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", str(env_root))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    spec = fig06_segsize.sweep()
+    keys = {point_key(point.fn or spec.point_fn, TINY, point.params)
+            for point in spec.points}
+    with Fabric("2") as fabric:
+        first = run_sweep(spec, TINY, cache_root=root, fabric=fabric)
+        completed = fabric.completed
+        assert completed == len(keys)
+        assert not env_root.exists() or not any(
+            path.is_file() for path in env_root.rglob("*"))
+        stored = sorted(path.name for path in root.rglob("*")
+                        if path.is_file())
+        assert stored == sorted(f"{key}.json" for key in keys)
+        second = run_sweep(spec, TINY, cache_root=root, fabric=fabric)
+        assert fabric.completed == completed
+    _identical(first, second)
 
 
 def test_authenticated_fabric_runs_points(monkeypatch):

@@ -21,8 +21,8 @@ from repro.disk.mechanics import RotationMode
 from repro.faults import DiskDeath, FaultPlan, FaultyDevice, \
     StragglerDevice
 from repro.io import IOKind, IORequest
-from repro.node import HedgePolicy, HedgedVolume, StripedVolume, \
-    base_topology, build_node, medium_topology
+from repro.node import HedgePolicy, HedgedVolume, StragglerEstimator, \
+    StripedVolume, base_topology, build_node, medium_topology
 from repro.sim import Simulator
 from repro.units import KiB
 from repro.workload import ClientFleet, StreamSpec
@@ -66,6 +66,24 @@ def test_policy_validation():
         HedgePolicy(ewma_alpha=1.5)
     with pytest.raises(ValueError):
         HedgePolicy(latency_window=0)
+
+
+def test_straggler_estimator_ewma_threshold_and_pick():
+    estimator = StragglerEstimator(hedge_k=3.0, hedge_min_s=1.0,
+                                   ewma_alpha=0.5, window=2)
+    # Cold: the empty window's median is 0, so hedge_min_s rules, and
+    # every member is unproven (0.0) so the lowest id wins.
+    assert estimator.threshold() == 1.0
+    assert estimator.pick([2, 1]) == 1
+    assert estimator.pick([]) is None
+    estimator.observe(1, 4.0)   # first sample seeds the EWMA
+    estimator.observe(1, 2.0)   # then 0.5 * 4 + 0.5 * 2
+    assert estimator.ewma == {1: 3.0}
+    assert estimator.pick([1, 2]) == 2  # unproven looks fast
+    estimator.observe(2, 5.0)
+    assert estimator.pick([1, 2]) == 1
+    # The window keeps the last two samples: median(2, 5) = 3.5.
+    assert estimator.threshold() == 3.0 * 3.5
 
 
 def test_volume_rejects_bad_members():
