@@ -12,16 +12,23 @@ what the I/O schedulers below actually see.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.io import BlockDevice, IOKind, IORequest
 from repro.sim import Simulator
 from repro.sim.events import Event
-from repro.sim.stats import StatsRegistry
+from repro.sim.stats import Counter, StatsRegistry
 from repro.units import KiB
 
 __all__ = ["BufferCache", "ReadaheadParams"]
+
+#: A page's key is ``(disk_id << _DISK_SHIFT) + page_index``: one int is
+#: smaller than a ``(disk_id, index)`` tuple and hashes without mixing.
+#: Keys are unique while page indexes lie in ``[0, 2**40)``, which the
+#: range check on every read and write guarantees (2**40 pages is 4 EiB
+#: at 4 KiB pages).
+_DISK_SHIFT = 40
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class ReadaheadParams:
             raise ValueError("writeback_period must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class _StreamState:
     """Per-stream readahead bookkeeping."""
 
@@ -92,13 +99,21 @@ class BufferCache:
                 f"capacity {capacity_bytes} below one page")
         self.capacity_pages = capacity_bytes // self.readahead.page_bytes
         self.name = name
-        #: (disk_id, page_index) -> True, in LRU order (oldest first).
-        self._pages: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
+        self._device_bytes = device.capacity_bytes
+        self._read_name = f"{name}.read"
+        #: stream id -> its read process name, built on first use.
+        self._process_names: Dict[int, str] = {}
+        #: page key -> True, in LRU order (oldest first).
+        self._pages: "OrderedDict[int, bool]" = OrderedDict()
         self._streams: Dict[int, _StreamState] = {}
         #: Dirty pages, in dirtying order (oldest first).
-        self._dirty: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
+        self._dirty: "OrderedDict[int, bool]" = OrderedDict()
         self._flusher_running = False
         self.stats = StatsRegistry()
+        # Bound on first use, so ``stats.counters`` only ever holds the
+        # names that were counted (and in first-use order).
+        self._hits: Optional[Counter] = None
+        self._misses: Optional[Counter] = None
 
     # -- public API ----------------------------------------------------------
     def read(self, stream_id: int, disk_id: int, offset: int,
@@ -106,13 +121,19 @@ class BufferCache:
         """Read ``[offset, offset+size)``; fires when data is cached.
 
         Synchronous semantics: the event fires once every page of the
-        range is resident (fetching a readahead window on miss).
+        range is resident (fetching a readahead window on miss). The
+        range must lie on the device.
         """
-        if size <= 0:
-            raise ValueError(f"non-positive read size: {size}")
-        event = self.sim.event(name=f"{self.name}.read")
-        self.sim.process(self._read(stream_id, disk_id, offset, size, event),
-                         name=f"{self.name}.s{stream_id}")
+        if size <= 0 or offset < 0 or offset + size > self._device_bytes:
+            raise self._bad_range("read", offset, size)
+        sim = self.sim
+        event = sim.event(name=self._read_name)
+        name = self._process_names.get(stream_id)
+        if name is None:
+            name = self._process_names[stream_id] = \
+                f"{self.name}.s{stream_id}"
+        sim.process(self._read(stream_id, disk_id, offset, size, event),
+                    name=name)
         return event
 
     def write(self, stream_id: int, disk_id: int, offset: int,
@@ -121,24 +142,33 @@ class BufferCache:
 
         Completes once the pages are dirtied (and, when over the dirty
         limit, after enough old dirty data has been written back —
-        Linux's synchronous dirty throttling).
+        Linux's synchronous dirty throttling). The range must lie on the
+        device.
         """
-        if size <= 0:
-            raise ValueError(f"non-positive write size: {size}")
+        if size <= 0 or offset < 0 or offset + size > self._device_bytes:
+            raise self._bad_range("write", offset, size)
         event = self.sim.event(name=f"{self.name}.write")
         self.sim.process(self._write(stream_id, disk_id, offset, size,
                                      event),
                          name=f"{self.name}.w{stream_id}")
         return event
 
+    def _bad_range(self, verb: str, offset: int, size: int) -> ValueError:
+        if size <= 0:
+            return ValueError(f"non-positive {verb} size: {size}")
+        return ValueError(
+            f"{verb} [{offset}, {offset + size}) is not on the device "
+            f"({self._device_bytes} bytes)")
+
     def _write(self, stream_id: int, disk_id: int, offset: int,
                size: int, event: Event):
         page = self.readahead.page_bytes
         first = offset // page
         last = (offset + size - 1) // page
+        base = disk_id << _DISK_SHIFT
         for index in range(first, last + 1):
-            key = (disk_id, index)
-            self._insert(disk_id, index)
+            key = base + index
+            self._fill(key, key + 1)
             self._dirty.pop(key, None)   # re-dirty moves to the tail
             self._dirty[key] = True
         self.stats.counter("dirtied").add(size)
@@ -169,18 +199,18 @@ class BufferCache:
         """Write back the oldest dirty page plus its contiguous run."""
         if not self._dirty:
             return
-        (disk_id, start_index), _ = next(iter(self._dirty.items()))
-        run = [start_index]
-        while (disk_id, run[-1] + 1) in self._dirty:
-            run.append(run[-1] + 1)
-        while (disk_id, run[0] - 1) in self._dirty:
-            run.insert(0, run[0] - 1)
+        first = last = next(iter(self._dirty))
+        while last + 1 in self._dirty:
+            last += 1
+        while first - 1 in self._dirty:
+            first -= 1
+        for key in range(first, last + 1):
+            del self._dirty[key]
         page = self.readahead.page_bytes
-        for index in run:
-            del self._dirty[(disk_id, index)]
+        disk_id, index = divmod(first, 1 << _DISK_SHIFT)
         request = IORequest(kind=IOKind.WRITE, disk_id=disk_id,
-                            offset=run[0] * page,
-                            size=len(run) * page)
+                            offset=index * page,
+                            size=(last - first + 1) * page)
         self.stats.counter("writeback_io").add(request.size)
         yield self.device.submit(request)
 
@@ -207,7 +237,8 @@ class BufferCache:
         page = self.readahead.page_bytes
         first = offset // page
         last = (offset + size - 1) // page
-        resident = sum((disk_id, index) in self._pages
+        base = disk_id << _DISK_SHIFT
+        resident = sum(base + index in self._pages
                        for index in range(first, last + 1))
         return resident / (last - first + 1)
 
@@ -217,17 +248,39 @@ class BufferCache:
         page = self.readahead.page_bytes
         first = offset // page
         last = (offset + size - 1) // page
-        missing = [index for index in range(first, last + 1)
-                   if not self._touch(disk_id, index)]
-        state = self._streams.setdefault(stream_id, _StreamState())
-        if not missing:
-            self.stats.counter("hits").add(size)
+        # Touch every resident page (LRU order) and note the first miss.
+        touch = self._pages.move_to_end
+        base = disk_id << _DISK_SHIFT
+        missing = -1
+        if first == last:
+            try:
+                touch(base + first)
+            except KeyError:
+                missing = first
+        else:
+            for index in range(first, last + 1):
+                try:
+                    touch(base + index)
+                except KeyError:
+                    if missing < 0:
+                        missing = index
+        state = self._streams.get(stream_id)
+        if state is None:
+            state = self._streams[stream_id] = _StreamState()
+        if missing < 0:
+            hits = self._hits
+            if hits is None:
+                hits = self._hits = self.stats.counter("hits")
+            hits.add(size)
             state.next_expected = offset + size
             event.succeed(None)
             return
-        self.stats.counter("misses").add(size)
+        misses = self._misses
+        if misses is None:
+            misses = self._misses = self.stats.counter("misses")
+        misses.add(size)
         sequential = offset == state.next_expected
-        start = missing[0] * page
+        start = missing * page
         if start < state.issued_until and sequential:
             # These pages were readahead-fetched and already evicted:
             # thrash — collapse the window (Linux does the same).
@@ -241,42 +294,51 @@ class BufferCache:
             state.window_bytes = self.readahead.initial_bytes
         demand_end = (last + 1) * page
         fetch_end = max(demand_end, start + state.window_bytes)
-        fetch_end = min(fetch_end, self.device.capacity_bytes)
+        fetch_end = min(fetch_end, self._device_bytes)
         fetch_bytes = fetch_end - start
         request = IORequest(kind=IOKind.READ, disk_id=disk_id, offset=start,
                             size=fetch_bytes, stream_id=stream_id)
         self.stats.counter("readahead_io").add(fetch_bytes)
         yield self.device.submit(request)
-        for index in range(start // page, fetch_end // page):
-            self._insert(disk_id, index)
+        # Through the ceiling page: a device whose size is not a page
+        # multiple ends in a partial page, which is resident once read.
+        end_page = -(-fetch_end // page)
+        self._fill(base + missing, base + end_page)
         state.next_expected = offset + size
         state.issued_until = fetch_end
         event.succeed(None)
 
-    def _touch(self, disk_id: int, index: int) -> bool:
-        key = (disk_id, index)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            return True
-        return False
-
-    def _insert(self, disk_id: int, index: int) -> None:
-        key = (disk_id, index)
-        if key in self._pages:
-            self._pages.move_to_end(key)
-            return
-        if len(self._pages) >= self.capacity_pages:
-            # Evict the oldest *clean* page; dirty pages are pinned until
-            # writeback (the dirty ratio guarantees clean pages exist).
-            victim = next((k for k in self._pages
-                           if k not in self._dirty), None)
-            if victim is None:
-                victim = next(iter(self._pages))
-                self._dirty.pop(victim, None)
-                self.stats.counter("dirty_evictions").add()
-            del self._pages[victim]
-            self.stats.counter("evictions").add()
-        self._pages[key] = True
+    def _fill(self, first: int, end: int) -> None:
+        """Make the pages keyed ``[first, end)`` resident at the LRU
+        tail, in order."""
+        pages = self._pages
+        dirty = self._dirty
+        room = self.capacity_pages - len(pages)
+        evictions = None
+        for key in range(first, end):
+            if key in pages:
+                pages.move_to_end(key)
+                continue
+            if room > 0:
+                room -= 1
+            else:
+                if not dirty:
+                    pages.popitem(last=False)
+                else:
+                    # Evict the oldest *clean* page; dirty pages are
+                    # pinned until writeback (the dirty ratio guarantees
+                    # clean pages exist).
+                    victim = next((k for k in pages if k not in dirty),
+                                  None)
+                    if victim is None:
+                        victim = next(iter(pages))
+                        dirty.pop(victim, None)
+                        self.stats.counter("dirty_evictions").add()
+                    del pages[victim]
+                if evictions is None:
+                    evictions = self.stats.counter("evictions")
+                evictions.add()
+            pages[key] = True
 
     def __repr__(self) -> str:
         return (f"<BufferCache {len(self._pages)}/{self.capacity_pages} "

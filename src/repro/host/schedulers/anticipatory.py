@@ -124,10 +124,13 @@ class AnticipatoryScheduler(IOScheduler):
         return Dispatch(request)
 
     def _find_anticipated(self) -> Optional[IORequest]:
-        for request in self._elevator.peek_all():
-            if (request.stream_id == self._antic_stream
-                    and request.is_read
-                    and abs(request.offset - self._antic_position)
-                    <= self.near_bytes):
+        """First queued read of the anticipated stream near its last
+        completion, in offset order (a scan of the elevator in place)."""
+        stream = self._antic_stream
+        position = self._antic_position
+        near = self.near_bytes
+        for offset, _id, request in self._elevator._requests:
+            if (request.stream_id == stream and request.is_read
+                    and abs(offset - position) <= near):
                 return request
         return None

@@ -102,7 +102,3 @@ class ElevatorQueue:
         _offset, _id, request = self._requests.pop(index)
         self.position = request.end
         return request
-
-    def peek_all(self) -> List[IORequest]:
-        """Snapshot of queued requests in offset order."""
-        return [request for _o, _i, request in self._requests]

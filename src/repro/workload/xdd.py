@@ -70,14 +70,16 @@ def run_xdd(sim: Simulator, cache: BufferCache, num_streams: int,
             f"{per_stream_bytes} bytes per stream")
     progress: List[int] = [0] * num_streams
     latency = LatencySampler("xdd")
+    read = cache.read
+    observe = latency.observe
 
     def reader(sim, stream):
         offset = stream * spacing
         end = min(offset + per_stream_bytes, capacity)
         while offset + block_size <= end:
             started = sim.now
-            yield cache.read(stream, disk_id, offset, block_size)
-            latency.observe(sim.now - started)
+            yield read(stream, disk_id, offset, block_size)
+            observe(sim.now - started)
             progress[stream] += block_size
             offset += block_size
             if think_time > 0:

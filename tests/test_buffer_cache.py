@@ -143,3 +143,34 @@ def test_streams_do_not_share_readahead_state():
     sim.run_until_event(cache.read(2, 0, 200 * MiB, 4 * KiB))
     assert cache._streams[1].next_expected == 4 * KiB
     assert cache._streams[2].next_expected == 200 * MiB + 4 * KiB
+
+
+def test_range_off_the_device_is_rejected():
+    sim = Simulator()
+    cache, layer, _drive = make_stack(sim)
+    end = layer.capacity_bytes
+    for offset, size in ((end, 4 * KiB), (end - 2 * KiB, 4 * KiB),
+                         (end + 8 * KiB, 1), (-4 * KiB, 8 * KiB)):
+        for call in (cache.read, cache.write):
+            with pytest.raises(ValueError, match="not on the device"):
+                call(1, 0, offset, size)
+    sim.run()
+    assert layer.stats.counter("dispatched").count == 0
+    assert not cache._pages and not cache._dirty
+
+
+def test_partial_last_page_becomes_resident():
+    # DISKSIM_GENERIC's capacity is not a page multiple: the last page
+    # holds only the device's final bytes, and reading them must leave
+    # that page resident like any other.
+    sim = Simulator()
+    cache, layer, _drive = make_stack(sim)
+    end = layer.capacity_bytes
+    tail = end % (4 * KiB)
+    assert tail, "the device must end in a partial page"
+    sim.run_until_event(cache.read(1, 0, end - tail, tail))
+    assert cache.cached_fraction(0, end - tail, tail) == 1.0
+    dispatched = layer.stats.counter("dispatched").count
+    sim.run_until_event(cache.read(1, 0, end - tail, tail))
+    assert layer.stats.counter("dispatched").count == dispatched
+    assert cache.stats.counter("hits").count == 1
